@@ -1,0 +1,135 @@
+"""Before/after numbers for a committed BENCH_<tag>.json.
+
+    python3 scripts/bench_compare.py BEFORE AFTER --out BENCH_tag.json \
+        [--workloads refute witness wide] [--seeds 1 2 3 4] [--seconds 40]
+
+BEFORE and AFTER are source checkouts, each with its `perfbench/`. For
+every seed and workload the benchmark runs once in each checkout, one run
+at a time, with the first of the two alternating from seed to seed; the
+file keeps every run's end-to-end metrics and their medians. It also
+keeps, per checkout, task and state count, how each level was decided
+(verdict, search nodes, clique certificate), from `synthesize_minimal`
+on the workload's tasks as `perfbench/inputs.py` builds them for seed 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def levels(checkout: Path, workload: str) -> list[dict]:
+    """Every level `synthesize_minimal` decides for each workload task,
+    in the program of `checkout`. Levels without a search carry the clique."""
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    import inputs
+    from fstsynth.synth_table import NoSolutionWithin, SearchConfig, synthesize_at, synthesize_minimal
+    from fstsynth.tasks import parse_task
+
+    rows = []
+    for bench_task in inputs.WORKLOADS[workload](1):
+        task = parse_task(bench_task.text())
+        searched = {}
+
+        def engine(task, n, cfg):
+            searched[n] = synthesize_at(task, n, cfg)
+            return searched[n]
+
+        trail, error = [], None
+        try:
+            _, _, trail = synthesize_minimal(task, SearchConfig(max_states=bench_task.max_states or 16), engine)
+        except NoSolutionWithin as e:
+            trail = getattr(e, "trail", ())
+        except Exception as e:  # recorded, e.g. a RecursionError on a large task
+            error = type(e).__name__
+        decided = {o.n: o for o in trail} | searched
+        for n, o in sorted(decided.items()):
+            clique = getattr(o, "clique", ())
+            rows.append({"task": bench_task.name, "n": n, "verdict": "SAT" if o.sat else "UNSAT",
+                         "nodes": o.stats.nodes,
+                         "certificate": ["".join(w) for w in clique] if clique else "search"})
+        if error:
+            rows.append({"task": bench_task.name, "error": error})
+    return rows
+
+
+def src_digest(checkout: Path) -> str:
+    """The program-source digest perfbench prints as `src_sha256`."""
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src").rglob("*.py")):
+        digest.update(str(path.relative_to(checkout)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def run_checkout(checkout: Path, args: list[str]) -> str:
+    result = subprocess.run([sys.executable, *args], cwd=checkout, capture_output=True, text=True, check=True)
+    return result.stdout
+
+
+def benchmark(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    out = run_checkout(checkout, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                                  "--seconds", str(seconds), "--trace", "0"])
+    result = json.loads(out.splitlines()[-1])
+    return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"], "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("before", type=Path)
+    parser.add_argument("after", type=Path)
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--workloads", nargs="+", default=["refute", "witness", "wide"])
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4])
+    parser.add_argument("--seconds", type=float, default=40)
+    parser.add_argument("--levels", metavar="WORKLOAD", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.levels:  # child mode: one checkout's levels as JSON
+        print(json.dumps(levels(args.before.resolve(), args.levels)))
+        return 0
+    sides = {"before": args.before.resolve(), "after": args.after.resolve()}
+    runs = {side: {w: [] for w in args.workloads} for side in sides}
+    for i, seed in enumerate(args.seeds):
+        for workload in args.workloads:
+            for side in (("before", "after") if i % 2 == 0 else ("after", "before")):
+                runs[side][workload].append(benchmark(sides[side], workload, seed, args.seconds))
+                print(f"{workload} seed {seed} {side}: {runs[side][workload][-1]['metrics']}", file=sys.stderr)
+    medians = {side: {w: {m: statistics.median(r["metrics"][m] for r in rs) for m in rs[0]["metrics"]}
+                      for w, rs in by_workload.items()} for side, by_workload in runs.items()}
+    script = str(Path(__file__).resolve())
+    level_rows = {side: {w: json.loads(run_checkout(path, [script, str(path), str(path), "--levels", w]))
+                         for w in args.workloads} for side, path in sides.items()}
+    report = {
+        "host": {"python": platform.python_version(), "nproc": len(os.sched_getaffinity(0)),
+                 "machine": platform.machine(), "processor": _cpu_model()},
+        "src_sha256": {side: src_digest(path) for side, path in sides.items()},
+        "seconds": args.seconds, "seeds": args.seeds,
+        "median": medians, "runs": runs, "levels": level_rows,
+    }
+    text = json.dumps(report, indent=1)
+    if args.out:
+        args.out.write_text(text + "\n")
+    else:
+        print(text)
+    return 0
+
+
+def _cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,6 +17,7 @@ from .core import (
 from .synth_table import (
     SearchConfig,
     SearchOutcome,
+    incompatibility_clique,
     lower_bound,
     search_space_size,
     synthesize_at,
@@ -35,6 +36,7 @@ __all__ = [
     "SearchOutcome",
     "build_trie",
     "defined_map_count",
+    "incompatibility_clique",
     "lower_bound",
     "minimize",
     "prune",

@@ -5,7 +5,9 @@ minimize), bench (the five-task comparison table), run (apply a machine to
 a word), gen (write a built-in task file).
 
 Exit codes: 0 success, 1 unsatisfiable within limits or budget exhausted,
-2 invalid input.
+2 invalid input, 3 internal error (a crash or a failed internal check; the
+console entry `entry` prints one `internal error: ...` line, while `main`
+lets the exception propagate to in-process callers).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import time
 
 from . import tasks as tasks_mod
 from .core import (
+    CheckFailed,
     FstError,
     TaskSpec,
     UndefinedOutput,
@@ -31,6 +34,7 @@ from .synth_table import (
     BudgetExhausted,
     NoSolutionWithin,
     SearchConfig,
+    lower_bound,
     search_space_size,
     synthesize_at,
     synthesize_minimal,
@@ -42,6 +46,7 @@ from .trie import build_trie, minimize
 EXIT_OK = 0
 EXIT_UNSAT = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 ENGINES = {"table": synthesize_at, "trajectory": synthesize_at_traj}
 
@@ -69,6 +74,25 @@ def _search_config(args) -> SearchConfig:
     )
 
 
+def _print_trail(task: TaskSpec, unsat_trail) -> None:
+    """The lower bound the deepening used, then how each level below n_min
+    was refuted: by search, or by a clique of incompatible prefixes."""
+    lo = lower_bound(task)
+    clique = next((o.clique for o in unsat_trail if o.clique), ())
+    if clique:
+        print(f"lower bound: {len(clique)} (prefix clique; output count {lo})")
+    else:
+        print(f"lower bound: {lo} (output count)")
+    for outcome in unsat_trail:
+        if outcome.clique:
+            print(f"UNSAT at {outcome.n} states (clique of {len(outcome.clique)} prefixes)")
+        else:
+            print(
+                f"UNSAT at {outcome.n} states "
+                f"({outcome.stats.nodes} nodes, {outcome.stats.seconds:.3f}s)"
+            )
+
+
 def cmd_synth(args) -> int:
     task = _read_task(args.taskfile)
     cfg = _search_config(args)
@@ -76,11 +100,12 @@ def cmd_synth(args) -> int:
     start = time.monotonic()
     try:
         n_min, witness, unsat_trail = synthesize_minimal(task, cfg, engine=engine)
-    except NoSolutionWithin:
+    except NoSolutionWithin as e:
+        _print_trail(task, e.trail)
         print(f"UNSAT up to {cfg.max_states} states", file=sys.stderr)
         return EXIT_UNSAT
     except BudgetExhausted as e:
-        print(f"budget exhausted: {e}", file=sys.stderr)
+        print(f"budget exhausted: {e} after {e.stats.nodes} nodes", file=sys.stderr)
         return EXIT_UNSAT
     elapsed = time.monotonic() - start
     if args.prune:
@@ -94,11 +119,7 @@ def cmd_synth(args) -> int:
         f"search space at n={n_min}: "
         f"{search_space_size(n_min, k, len(task.output_alphabet))}"
     )
-    for outcome in unsat_trail:
-        print(
-            f"UNSAT at {outcome.n} states "
-            f"({outcome.stats.nodes} nodes, {outcome.stats.seconds:.3f}s)"
-        )
+    _print_trail(task, unsat_trail)
     print(f"total time: {elapsed:.3f}s")
     out_path = args.output or args.taskfile.rsplit(".", 1)[0] + ".fst"
     with open(out_path, "w", encoding="utf-8") as f:
@@ -143,7 +164,11 @@ def bench_table(max_states: int = 8) -> tuple[list[list[str]], list[str]]:
             t = build_trie(task)
             mini = minimize(t, task)
             t2 = time.monotonic()
-            assert n_min <= mini.n_states <= t.n_states
+            if not n_min <= mini.n_states <= t.n_states:
+                raise CheckFailed(
+                    f"{name}: minimal {n_min} <= minimized {mini.n_states}"
+                    f" <= trie {t.n_states} does not hold"
+                )
             rows.append(
                 [
                     name,
@@ -156,6 +181,8 @@ def bench_table(max_states: int = 8) -> tuple[list[list[str]], list[str]]:
                 ]
             )
             timings.append(f"synth {t1 - t0:.3f}s, trie {t2 - t1:.3f}s")
+        except CheckFailed:
+            raise
         except FstError as e:
             rows.append([name, "error", "-", "-", str(paper_min), str(paper_trie), str(paper_minimized)])
             timings.append(str(e))
@@ -311,10 +338,23 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"cannot read {e.filename}", file=sys.stderr)
         return EXIT_USAGE
+    except CheckFailed:
+        raise
     except (FstError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 
+def entry(argv=None) -> int:
+    """Console entry point: `main`, with any exception that escapes it (a
+    crash or a failed internal check) reported on one line as exit 3, so
+    it can never read as UNSAT."""
+    try:
+        return main(argv)
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -68,6 +68,11 @@ class InvalidPermutation(FstError):
     pass
 
 
+class CheckFailed(FstError):
+    """An internal consistency check failed: a bug in this package, never
+    a property of the input. Raised explicitly, so it survives `python -O`."""
+
+
 def _check_alphabet(symbols: Sequence[str], kind: str) -> tuple[str, ...]:
     seen = set()
     for s in symbols:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from .core import FstError, TaskSpec, Transducer, verify
+from .core import CheckFailed, FstError, TaskSpec, Transducer, verify
 from .synth_table import NoSolutionWithin, search_space_size
 
 DEFAULT_CAP = 10**8
@@ -61,7 +61,8 @@ def oracle_sat(
                 tuple(tuple(row) for row in delta),
                 omega_full,
             )
-            assert verify(witness, task).ok
+            if not verify(witness, task).ok:
+                raise CheckFailed("oracle produced a non-verifying witness")
             return True, witness
     return False, None
 

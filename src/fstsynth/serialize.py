@@ -46,6 +46,8 @@ def parse_transducer(text: str) -> Transducer:
         if not line or line.startswith("#"):
             continue
         fields = line.split()
+        if fields[0] in ("@states", "@initial") and len(fields) != 2:
+            raise TransducerSyntaxError(lineno, f"{fields[0]} takes one number")
         if fields[0] == "@states":
             n = int(fields[1])
         elif fields[0] == "@initial":

@@ -7,6 +7,10 @@ when branching on an unassigned cell, candidate successors are limited to
 the states already in use plus one fresh state. Every solution has a
 canonical representative under 0-fixing relabeling, so an exhausted search
 is a valid unsatisfiability certificate.
+
+Some levels need no search: prefixes that pairwise reach different outputs
+under a common suffix must all reach distinct states, so a clique of such
+prefixes certifies every state count below its size.
 """
 
 from __future__ import annotations
@@ -15,19 +19,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import FstError, TaskSpec, Transducer, totalize, verify
+from .core import CheckFailed, FstError, TaskSpec, Transducer, Word, totalize, verify
+from .trie import build_trie, minimize
 
 
 class BudgetExhausted(FstError):
-    def __init__(self, kind: str, n: int):
+    def __init__(self, kind: str, n: int, stats: "SearchStats"):
         self.kind = kind  # "nodes" or "time"
         self.n = n
+        self.stats = stats  # partial counts of the level that ran out
         super().__init__(f"{kind} budget exhausted while searching at {n} states")
 
 
 class NoSolutionWithin(FstError):
-    def __init__(self, max_states: int):
+    def __init__(self, max_states: int, trail: tuple = ()):
         self.max_states = max_states
+        self.trail = trail  # the UNSAT outcomes up to max_states, if searched
         super().__init__(f"no solution with at most {max_states} states")
 
 
@@ -57,13 +64,15 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Either a verified witness at n states or an exhaustiveness
-    certificate that no n-state transducer realizes the task."""
+    """Either a verified witness at n states or a certificate that no
+    n-state transducer realizes the task: an exhausted search, or a clique
+    of more than n pairwise-incompatible prefixes (then stats are zero)."""
 
     n: int
     witness: Optional[Transducer]
     stats: SearchStats
     total: bool = True
+    clique: tuple[Word, ...] = ()
 
     @property
     def sat(self) -> bool:
@@ -103,13 +112,12 @@ def ordered_pairs(task: TaskSpec, word_order: str):
 class _Budget:
     """Shared node/time accounting; raises when a limit is hit."""
 
-    __slots__ = ("node_budget", "deadline", "nodes", "backtracks", "n")
+    __slots__ = ("node_budget", "start", "deadline", "nodes", "backtracks", "n")
 
     def __init__(self, cfg: SearchConfig, n: int):
         self.node_budget = cfg.node_budget
-        self.deadline = (
-            time.monotonic() + cfg.time_budget if cfg.time_budget else None
-        )
+        self.start = time.monotonic()
+        self.deadline = self.start + cfg.time_budget if cfg.time_budget else None
         self.nodes = 0
         self.backtracks = 0
         self.n = n
@@ -117,11 +125,14 @@ class _Budget:
     def tick(self):
         self.nodes += 1
         if self.node_budget is not None and self.nodes > self.node_budget:
-            raise BudgetExhausted("nodes", self.n)
+            raise BudgetExhausted("nodes", self.n, self.stats())
         # time checks are batched; monotonic() per node would dominate
         if self.deadline is not None and self.nodes % 4096 == 0:
             if time.monotonic() > self.deadline:
-                raise BudgetExhausted("time", self.n)
+                raise BudgetExhausted("time", self.n, self.stats())
+
+    def stats(self) -> SearchStats:
+        return SearchStats(self.nodes, self.backtracks, time.monotonic() - self.start)
 
 
 def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
@@ -142,10 +153,7 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
     delta: list[list[Optional[int]]] = [[None] * k for _ in range(n)]
     omega: list[Optional[str]] = [None] * n
     budget = _Budget(cfg, n)
-    start = time.monotonic()
 
-    # frame on the explicit stack: (pair index, position, current state,
-    # max state index in use, undo list of (kind, q, a))
     def solve(pi: int, pos: int, q: int, hi: int) -> bool:
         budget.tick()
         if pi == len(words):
@@ -179,8 +187,7 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
         return solve(pi + 1, 0, 0, hi)
 
     sat = solve(0, 0, 0, 0)
-    seconds = time.monotonic() - start
-    stats = SearchStats(budget.nodes, budget.backtracks, seconds)
+    stats = budget.stats()
     if not sat:
         return SearchOutcome(n=n, witness=None, stats=stats)
     partial = Transducer(
@@ -191,8 +198,115 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
         tuple(omega),
     )
     witness = totalize(partial)
-    assert verify(witness, task).ok, "search produced a non-verifying witness"
+    if not verify(witness, task).ok:
+        raise CheckFailed("search produced a non-verifying witness")
     return SearchOutcome(n=n, witness=witness, stats=stats)
+
+
+def _bits(x: int):
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _max_clique(adj: list[int], budget: _Budget) -> list[int]:
+    """A maximum clique of the graph with bitset adjacency `adj`: a greedy
+    start, then depth-first branch and bound. Each node ticks `budget`."""
+    best: list[int] = []
+    cand = (1 << len(adj)) - 1
+    while cand:  # greedy: the candidate with the most candidate neighbours
+        v = max(_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
+        best.append(v)
+        cand &= adj[v]
+    stack = [((), (1 << len(adj)) - 1)]
+    while stack:
+        clique, cand = stack.pop()
+        budget.tick()
+        if len(clique) + cand.bit_count() <= len(best):
+            continue
+        if not cand:
+            best = list(clique)
+            continue
+        v = cand.bit_length() - 1
+        stack.append((clique, cand ^ (1 << v)))
+        stack.append((clique + (v,), cand & adj[v]))
+    return best
+
+
+def check_clique(task: TaskSpec, clique: tuple[Word, ...]) -> None:
+    """Raise CheckFailed unless every two prefixes in `clique` have a
+    common suffix that completes both to task words with different
+    outputs."""
+    outputs = dict(task.pairs)
+    for i, p in enumerate(clique):
+        for r in clique[:i]:
+            if not any(
+                word[: len(p)] == p and outputs.get(r + word[len(p) :], out) != out
+                for word, out in task.pairs
+            ):
+                raise CheckFailed(f"clique prefixes {p!r} and {r!r} are compatible")
+
+
+def incompatibility_clique(task: TaskSpec, budget: Optional[_Budget] = None) -> tuple[Word, ...]:
+    """A largest set of pairwise-incompatible prefixes of the task words,
+    one shortest prefix per member. Two prefixes are incompatible when some
+    common suffix completes both to task words with different outputs; a
+    realization must send them to distinct states, so no machine has fewer
+    states than the clique has members (Heule & Verwer, ICGI 2010).
+
+    The graph is built on the Moore quotient of the prefix trie: equivalent
+    prefixes share their suffix function, so the largest clique is the
+    same. Pair tests and branch-and-bound nodes tick `budget`."""
+    if budget is None:
+        budget = _Budget(SearchConfig(), 0)
+    t = minimize(build_trie(task), task)
+    m = t.n_states
+    # bottom-up order (children first), by peeling classes whose children are placed
+    parents: list[list[int]] = [[] for _ in range(m)]
+    pending = [0] * m
+    for u, row in enumerate(t.delta):
+        for c in row:
+            if c is not None:
+                parents[c].append(u)
+                pending[u] += 1
+    order = [u for u in range(m) if not pending[u]]
+    for u in order:  # grows while iterated
+        for p in parents[u]:
+            pending[p] -= 1
+            if not pending[p]:
+                order.append(p)
+    # u and v are incompatible if both have outputs that differ, or some
+    # shared symbol leads to an incompatible pair of children, whose row
+    # is complete because both children come earlier in the order (no
+    # class is incompatible with itself)
+    adj = [0] * m
+    for i, u in enumerate(order):
+        row = 0
+        for v in order[:i]:
+            budget.tick()
+            ou, ov = t.omega[u], t.omega[v]
+            if (ou is not None and ov is not None and ou != ov) or any(
+                cu is not None and cv is not None and adj[cu] >> cv & 1
+                for cu, cv in zip(t.delta[u], t.delta[v])
+            ):
+                row |= 1 << v
+        adj[u] |= row
+        for v in _bits(row):
+            adj[v] |= 1 << u
+    # one shortest prefix per class, breadth-first from the initial class
+    words: list[Optional[Word]] = [None] * m
+    words[0] = ()
+    queue = [0]
+    for u in queue:  # grows while iterated
+        for sym, c in zip(t.input_alphabet, t.delta[u]):
+            if c is not None and words[c] is None:
+                words[c] = words[u] + (sym,)
+                queue.append(c)
+    members = (words[v] for v in _max_clique(adj, budget))
+    clique = tuple(sorted(members, key=lambda w: (len(w), w)))
+    check_clique(task, clique)
+    return clique
 
 
 def synthesize_minimal(
@@ -201,14 +315,26 @@ def synthesize_minimal(
     engine=synthesize_at,
 ) -> tuple[int, Transducer, list[SearchOutcome]]:
     """Iterative deepening on the state count, starting from the output
-    lower bound. Returns (n_min, witness, UNSAT trail below n_min)."""
+    lower bound. Returns (n_min, witness, UNSAT trail below n_min).
+
+    When the level at the output bound is UNSAT, the incompatibility
+    clique is computed once; the levels below its size enter the trail
+    certified by it, without a search."""
     lo = lower_bound(task)
     if cfg.max_states < lo:
         raise NoSolutionWithin(cfg.max_states)
     unsat_trail: list[SearchOutcome] = []
+    clique: tuple[Word, ...] = ()
     for n in range(lo, cfg.max_states + 1):
+        if n < len(clique):
+            unsat_trail.append(
+                SearchOutcome(n=n, witness=None, stats=SearchStats(0, 0, 0.0), clique=clique)
+            )
+            continue
         outcome = engine(task, n, cfg)
         if outcome.sat:
             return n, outcome.witness, unsat_trail
         unsat_trail.append(outcome)
-    raise NoSolutionWithin(cfg.max_states)
+        if n == lo:
+            clique = incompatibility_clique(task, _Budget(cfg, n + 1))
+    raise NoSolutionWithin(cfg.max_states, tuple(unsat_trail))

@@ -13,14 +13,12 @@ cross-validation.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
-from .core import FstError, TaskSpec, Transducer, verify
+from .core import CheckFailed, FstError, TaskSpec, Transducer, verify
 from .synth_table import (
     SearchConfig,
     SearchOutcome,
-    SearchStats,
     _Budget,
     ordered_pairs,
 )
@@ -52,7 +50,6 @@ def synthesize_at_traj(
     delta: list[list[Optional[int]]] = [[None] * k for _ in range(n)]
     omega: list[Optional[str]] = [None] * n
     budget = _Budget(cfg, n)
-    start = time.monotonic()
 
     def solve(pi: int, pos: int, q: int, hi: int) -> bool:
         budget.tick()
@@ -92,8 +89,7 @@ def synthesize_at_traj(
         return False
 
     sat = solve(0, 0, 0, 0)
-    seconds = time.monotonic() - start
-    stats = SearchStats(budget.nodes, budget.backtracks, seconds)
+    stats = budget.stats()
     if not sat:
         return SearchOutcome(n=n, witness=None, stats=stats)
     witness = Transducer(
@@ -103,5 +99,6 @@ def synthesize_at_traj(
         tuple(tuple(row) for row in delta),
         tuple(omega),
     )
-    assert verify(witness, task).ok, "search produced a non-verifying witness"
+    if not verify(witness, task).ok:
+        raise CheckFailed("search produced a non-verifying witness")
     return SearchOutcome(n=n, witness=witness, stats=stats, total=False)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .core import PreconditionViolated, TaskSpec, Transducer, verify
+from .core import CheckFailed, PreconditionViolated, TaskSpec, Transducer, verify
 
 
 def build_trie(task: TaskSpec) -> Transducer:
@@ -108,11 +108,9 @@ def minimize(t: Transducer, task: TaskSpec) -> Transducer:
             delta[i][a] = None if succ is None else order[cls[succ]]
         # the quotient map must be a transducer morphism
         for q in qs[1:]:
-            assert t.omega[q] == omega[i]
-            for a in range(k):
-                succ = t.delta[q][a]
-                target = None if succ is None else order[cls[succ]]
-                assert target == delta[i][a]
+            targets = [None if succ is None else order[cls[succ]] for succ in t.delta[q]]
+            if t.omega[q] != omega[i] or targets != delta[i]:
+                raise CheckFailed(f"state {q} does not agree with its class {i}")
     result = Transducer(
         m,
         t.input_alphabet,
@@ -120,5 +118,6 @@ def minimize(t: Transducer, task: TaskSpec) -> Transducer:
         tuple(tuple(row) for row in delta),
         tuple(omega),
     )
-    assert verify(result, task).ok
+    if not verify(result, task).ok:
+        raise CheckFailed("the minimized transducer does not verify")
     return result

@@ -2,10 +2,17 @@ import re
 
 import pytest
 
-from fstsynth.cli import main
+from fstsynth import cli
+from fstsynth.cli import entry, main
 from fstsynth.serialize import parse_transducer
 from fstsynth.core import verify
-from fstsynth.tasks import gen_parity, gen_signal_locator, parse_task, write_task
+from fstsynth.tasks import (
+    gen_parity,
+    gen_signal_locator,
+    gen_zeroes_or_ones,
+    parse_task,
+    write_task,
+)
 
 
 @pytest.fixture
@@ -33,7 +40,9 @@ class TestSynth:
 
     def test_unsat_within_max_states(self, sl93_file, capsys):
         assert main(["synth", str(sl93_file), "--max-states", "4"]) == 1
-        assert "UNSAT up to 4 states" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "UNSAT up to 4 states" in captured.err
+        assert re.findall(r"UNSAT at (\d+) states", captured.out) == ["3", "4"]
 
     def test_budget_never_claims_unsat(self, sl93_file, capsys):
         code = main(
@@ -43,6 +52,27 @@ class TestSynth:
         assert code == 1
         assert "budget exhausted" in err
         assert "UNSAT" not in err
+
+    def test_budget_reports_nodes(self, sl93_file, capsys):
+        assert main(["synth", str(sl93_file), "--budget-nodes", "50"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("budget exhausted: ")
+        assert err.strip().endswith("after 51 nodes")
+
+    def test_clique_certified_levels(self, tmp_path, capsys):
+        path = tmp_path / "zo8.io"
+        path.write_text(write_task(gen_zeroes_or_ones(8)))
+        assert main(["synth", str(path), "-o", str(tmp_path / "zo8.fst")]) == 0
+        out = capsys.readouterr().out
+        assert "minimal states: 6" in out
+        assert "lower bound: 6 (prefix clique; output count 3)" in out
+        assert re.search(r"UNSAT at 3 states \(2407 nodes, ", out)
+        assert "UNSAT at 4 states (clique of 6 prefixes)" in out
+        assert "UNSAT at 5 states (clique of 6 prefixes)" in out
+
+    def test_output_count_bound(self, sl93_file, tmp_path, capsys):
+        assert main(["synth", str(sl93_file), "-o", str(tmp_path / "s.fst")]) == 0
+        assert "lower bound: 3 (output count)" in capsys.readouterr().out
 
     def test_dot_output(self, parity_file, tmp_path):
         dot_path = tmp_path / "parity.dot"
@@ -107,6 +137,36 @@ class TestRun:
         assert code in (0, 1)  # outside the training set partiality may bite
         if code == 1:
             assert "undefined" in captured.err
+
+    @pytest.mark.parametrize("directive", ["@states", "@initial"])
+    def test_bare_directive(self, directive, tmp_path, capsys):
+        path = tmp_path / "bad.fst"
+        path.write_text(f"{directive}\n@inputs 0\n@outputs a\n0 a 0\n")
+        assert main(["run", str(path), "0"]) == 2
+        assert "line 1:" in capsys.readouterr().err
+
+
+class TestEntry:
+    @pytest.fixture
+    def crashing_gen(self, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_gen", boom)
+
+    def test_crash_exits_3(self, crashing_gen, capsys):
+        assert entry(["gen", "parity", "2"]) == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: boom\n"
+
+    def test_main_still_raises(self, crashing_gen):
+        with pytest.raises(RuntimeError):
+            main(["gen", "parity", "2"])
+
+    def test_entry_passes_exit_codes(self, parity_file, tmp_path):
+        assert entry(["synth", str(parity_file), "-o", str(tmp_path / "p.fst")]) == 0
+        assert entry(["synth", str(parity_file), "--max-states", "1"]) == 1
+        assert entry(["synth", str(tmp_path / "missing.io")]) == 2
 
 
 class TestGen:

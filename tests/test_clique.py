@@ -1,0 +1,171 @@
+"""The incompatibility-clique lower bound: its certified UNSAT levels, its
+budget, and a differential check against the brute-force oracle."""
+
+import itertools
+import random
+
+import pytest
+
+from fstsynth.core import CheckFailed, TaskSpec, Transducer, run
+from fstsynth.oracle import oracle_min, oracle_sat
+from fstsynth import synth_table
+from fstsynth.synth_table import (
+    BudgetExhausted,
+    NoSolutionWithin,
+    SearchConfig,
+    _Budget,
+    check_clique,
+    incompatibility_clique,
+    lower_bound,
+    synthesize_at,
+    synthesize_minimal,
+)
+from fstsynth.tasks import (
+    gen_palindrome,
+    gen_signal_locator,
+    gen_zeroes_or_ones,
+    word_classification,
+)
+
+
+def assert_pairwise_incompatible(task, prefixes):
+    """Checker independent of the package: every two prefixes p, r have a
+    suffix s with p+s and r+s both task words, mapped to different outputs."""
+    outputs = dict(task.pairs)
+    assert len(set(prefixes)) == len(prefixes)
+    for p, r in itertools.combinations(prefixes, 2):
+        suffixes = {w[len(p):] for w in outputs if w[: len(p)] == p}
+        assert any(
+            r + s in outputs and outputs[r + s] != outputs[p + s] for s in suffixes
+        ), f"{p} and {r} are compatible"
+
+
+@pytest.mark.parametrize(
+    "task, size",
+    [
+        (gen_zeroes_or_ones(4), 4),
+        (gen_zeroes_or_ones(6), 5),
+        (gen_zeroes_or_ones(8), 6),
+        (gen_palindrome(4), 4),
+        (gen_palindrome(5), 4),
+        (gen_signal_locator(9, 3), 3),
+        (word_classification(), 3),
+    ],
+)
+def test_clique_sizes(task, size):
+    clique = incompatibility_clique(task)
+    assert len(clique) == size
+    assert_pairwise_incompatible(task, clique)
+
+
+def test_zo8_levels_four_and_five_are_certified():
+    task = gen_zeroes_or_ones(8)
+    n_min, witness, trail = synthesize_minimal(task)
+    assert n_min == 6
+    assert [o.n for o in trail] == [3, 4, 5]
+    assert all(not o.sat for o in trail)
+    searched, *certified = trail
+    assert searched.clique == () and searched.stats.nodes > 0
+    for outcome in certified:
+        assert len(outcome.clique) == 6
+        assert outcome.stats.nodes == 0
+        assert_pairwise_incompatible(task, outcome.clique)
+
+
+def test_clique_only_after_the_output_bound_fails(monkeypatch):
+    def no_clique(*args):
+        raise AssertionError("clique computed although the output bound holds")
+
+    monkeypatch.setattr(synth_table, "incompatibility_clique", no_clique)
+    n_min, _, trail = synthesize_minimal(word_classification())
+    assert n_min == 3 and trail == []
+
+
+def test_certified_levels_agree_with_the_search():
+    task = gen_palindrome(4)
+    _, _, trail = synthesize_minimal(task)
+    certified = [o.n for o in trail if o.clique]
+    assert certified == [3]
+    for n in certified:
+        assert not synthesize_at(task, n).sat
+
+
+def test_clique_budget_is_reported_as_budget():
+    task = gen_palindrome(6)  # n=2 takes 34 nodes, the clique several hundred ticks
+    with pytest.raises(BudgetExhausted) as info:
+        synthesize_minimal(task, SearchConfig(node_budget=100))
+    assert info.value.n == 3 and info.value.stats.nodes == 101
+    with pytest.raises(BudgetExhausted):
+        incompatibility_clique(task, _Budget(SearchConfig(node_budget=10), 3))
+
+
+def test_bad_certificate_is_rejected(monkeypatch):
+    task = gen_zeroes_or_ones(4)
+    with pytest.raises(CheckFailed):
+        check_clique(task, (("0",), ("0", "0")))
+    # a "clique" of every class holds compatible pairs
+    monkeypatch.setattr(synth_table, "_max_clique", lambda adj, budget: list(range(len(adj))))
+    with pytest.raises(CheckFailed):
+        incompatibility_clique(task)
+
+
+def _random_task(rng, symbols):
+    outputs = ("a", "b", "c")[: rng.randint(1, 3)]
+    mapping = {}
+    for _ in range(rng.randint(2, 6)):
+        word = tuple(rng.choice(symbols) for _ in range(rng.randint(1, 5)))
+        mapping[word] = rng.choice(outputs)
+    return TaskSpec(symbols, outputs, tuple(sorted(mapping.items())))
+
+
+def test_differential_ternary_against_oracle():
+    # ternary alphabets stay within the oracle's cap up to 3 states
+    rng = random.Random(20261018)
+    decided = 0
+    for _ in range(60):
+        task = _random_task(rng, ("0", "1", "2"))
+        clique = incompatibility_clique(task)
+        assert_pairwise_incompatible(task, clique)
+        try:
+            expected = oracle_min(task, 3)
+        except NoSolutionWithin:
+            with pytest.raises(NoSolutionWithin):
+                synthesize_minimal(task, SearchConfig(max_states=3))
+            continue
+        n_min, _, trail = synthesize_minimal(task, SearchConfig(max_states=3))
+        assert n_min == expected
+        assert lower_bound(task) <= len(clique) <= expected
+        for outcome in trail:
+            assert_pairwise_incompatible(task, outcome.clique)
+        decided += 1
+    assert decided >= 50
+
+
+def test_differential_certified_levels_against_oracle():
+    # binary tasks labelled by random 4-state machines often need 4 states
+    # with only 2 outputs, so the clique certifies levels the oracle can check
+    rng = random.Random(11)
+    words = [w for n in range(1, 6) for w in itertools.product("01", repeat=n)]
+    certified = 0
+    for _ in range(40):
+        machine = Transducer(
+            4,
+            ("0", "1"),
+            ("a", "b"),
+            tuple(tuple(rng.randrange(4) for _ in range(2)) for _ in range(4)),
+            tuple(rng.choice("ab") for _ in range(4)),
+        )
+        sample = rng.sample(words, rng.randint(20, 40))
+        task = TaskSpec(("0", "1"), ("a", "b"), tuple((w, run(machine, w)) for w in sample))
+        expected = oracle_min(task, 4)
+        n_min, _, trail = synthesize_minimal(task, SearchConfig(max_states=4))
+        assert n_min == expected
+        assert len(incompatibility_clique(task)) <= expected
+        for outcome in trail:
+            if outcome.clique:
+                certified += 1
+                assert outcome.stats.nodes == 0
+                assert len(outcome.clique) > outcome.n
+                assert_pairwise_incompatible(task, outcome.clique)
+                assert oracle_sat(task, outcome.n) == (False, None)
+    assert certified >= 5

@@ -32,6 +32,13 @@ def test_missing_header():
         parse_transducer("@states 1\n0 a 0\n")
 
 
+@pytest.mark.parametrize("directive", ["@states", "@initial"])
+def test_bare_directive(directive):
+    text = f"{directive}\n@states 1\n@inputs 0\n@outputs a\n0 a 0\n"
+    with pytest.raises(TransducerSyntaxError, match="line 1"):
+        parse_transducer(text)
+
+
 def test_wrong_body_arity():
     text = "@states 1\n@inputs 0 1\n@outputs a\n0 a 0\n"
     with pytest.raises(TransducerSyntaxError):

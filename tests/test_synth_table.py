@@ -14,6 +14,7 @@ from fstsynth.synth_table import (
     synthesize_minimal,
     variable_count,
 )
+from fstsynth.synth_traj import synthesize_at_traj
 from fstsynth.tasks import (
     gen_palindrome,
     gen_parity,
@@ -102,6 +103,15 @@ class TestSynthesizeAt:
             synthesize_at(
                 gen_signal_locator(9, 3), 5, SearchConfig(node_budget=10)
             )
+
+    @pytest.mark.parametrize("engine", [synthesize_at, synthesize_at_traj])
+    def test_budget_carries_partial_stats(self, engine):
+        with pytest.raises(BudgetExhausted) as info:
+            engine(gen_signal_locator(9, 3), 5, SearchConfig(node_budget=10))
+        assert info.value.n == 5
+        assert info.value.stats.nodes == 11
+        assert 0 <= info.value.stats.backtracks <= 11
+        assert info.value.stats.seconds >= 0
 
 
 class TestSynthesizeMinimal:
