@@ -36,6 +36,13 @@ def serialize_transducer(t: Transducer) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(lineno: int, field: str, what: str) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise TransducerSyntaxError(lineno, f"{what} must be a number, got {field!r}") from None
+
+
 def parse_transducer(text: str) -> Transducer:
     n = None
     inputs = None
@@ -49,7 +56,7 @@ def parse_transducer(text: str) -> Transducer:
         if fields[0] in ("@states", "@initial") and len(fields) != 2:
             raise TransducerSyntaxError(lineno, f"{fields[0]} takes one number")
         if fields[0] == "@states":
-            n = int(fields[1])
+            n = _number(lineno, fields[1], "@states")
         elif fields[0] == "@initial":
             if fields[1] != "0":
                 raise TransducerSyntaxError(lineno, "initial state must be 0")
@@ -73,13 +80,13 @@ def parse_transducer(text: str) -> Transducer:
             raise TransducerSyntaxError(
                 lineno, f"expected state, output and {len(inputs)} successors"
             )
-        q = int(fields[0])
+        q = _number(lineno, fields[0], "state")
         if not 0 <= q < n or q in seen:
             raise TransducerSyntaxError(lineno, f"bad or repeated state {fields[0]}")
         seen.add(q)
         omega[q] = None if fields[1] == UNDEFINED_TOKEN else fields[1]
         for a, cell in enumerate(fields[2:]):
-            delta[q][a] = None if cell == UNDEFINED_TOKEN else int(cell)
+            delta[q][a] = None if cell == UNDEFINED_TOKEN else _number(lineno, cell, "successor")
     return Transducer(
         n, inputs, outputs, tuple(tuple(row) for row in delta), tuple(omega)
     )

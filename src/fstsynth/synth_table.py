@@ -140,6 +140,16 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
 
     Returns a SAT outcome with a total, verified witness, or an UNSAT
     outcome only after exhausting the symmetry-reduced space.
+
+    The depth-first search keeps its open choices on an explicit stack: a
+    transition cell as (row, symbol, word index, position, hi, candidate,
+    cap), an output binding as (state,). A node is counted per candidate,
+    per output binding and per word that ends on a matching output; a
+    backtrack each time a candidate or a binding is withdrawn. A word
+    resumes where it leaves the prefix tree walked by earlier words, from
+    the state recorded at that tree node: the cells on the way there stay
+    bound while the word is open, and walking bound cells counts no node
+    and cannot raise hi, the highest state in use.
     """
     if n < 1:
         raise FstError("n must be >= 1")
@@ -149,45 +159,90 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
     pairs = ordered_pairs(task, cfg.word_order)
     words = [tuple(sym_index[s] for s in w) for w, _ in pairs]
     outs = [out for _, out in pairs]
+    # prefix-tree node ids along each word, and the position where it leaves
+    # the part of the tree earlier words walked; a sentinel follows the last
+    tree: dict[tuple[int, int], int] = {}  # (node, symbol) -> child; root 0
+    paths, starts = [], []
+    for word in words:
+        known = len(tree)
+        node, path = 0, [0]
+        for a in word:
+            node = tree.setdefault((node, a), len(tree) + 1)
+            path.append(node)
+        paths.append(path)
+        starts.append(len(word) - (len(tree) - known))  # the new nodes come last
+    paths.append([0])
+    starts.append(0)
+    state_at = [0] * (len(tree) + 1)
 
     delta: list[list[Optional[int]]] = [[None] * k for _ in range(n)]
     omega: list[Optional[str]] = [None] * n
-    budget = _Budget(cfg, n)
-
-    def solve(pi: int, pos: int, q: int, hi: int) -> bool:
-        budget.tick()
-        if pi == len(words):
-            return True
-        word = words[pi]
-        while pos < len(word):
-            a = word[pos]
-            nxt = delta[q][a]
+    start = time.monotonic()
+    deadline = start + cfg.time_budget if cfg.time_budget else None
+    node_limit = cfg.node_budget if cfg.node_budget is not None else float("inf")
+    next_check = min(node_limit + 1, 4096)
+    nodes = backtracks = 0
+    stack: list[tuple] = []
+    pi = pos = q = hi = 0
+    last = len(words)
+    sat = False
+    while True:
+        nodes += 1
+        if nodes >= next_check:  # as in _Budget.tick; the clock every 4096 nodes
+            if nodes > node_limit:
+                raise BudgetExhausted("nodes", n, SearchStats(nodes, backtracks, time.monotonic() - start))
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExhausted("time", n, SearchStats(nodes, backtracks, time.monotonic() - start))
+            next_check = min(node_limit + 1, nodes + 4096)
+        if pi == last:
+            sat = True
+            break
+        word, path = words[pi], paths[pi]
+        end = len(word)
+        while pos < end:  # walk the bound cells
+            nxt = delta[q][word[pos]]
             if nxt is None:
-                cap = min(hi + 1, n - 1)
-                for cand in range(cap + 1):
-                    delta[q][a] = cand
-                    if solve(pi, pos + 1, cand, max(hi, cand)):
-                        return True
-                    budget.backtracks += 1
-                delta[q][a] = None
-                return False
+                break
             q = nxt
-            hi = max(hi, q)
             pos += 1
-        required = outs[pi]
-        if omega[q] is None:
-            omega[q] = required
-            if solve(pi + 1, 0, 0, hi):
-                return True
-            omega[q] = None
-            budget.backtracks += 1
-            return False
-        if omega[q] != required:
-            return False
-        return solve(pi + 1, 0, 0, hi)
-
-    sat = solve(0, 0, 0, 0)
-    stats = budget.stats()
+            state_at[path[pos]] = q
+        if pos < end:  # an unbound cell: try candidate 0 first
+            row, a = delta[q], word[pos]
+            row[a] = 0
+            stack.append((row, a, pi, pos, hi, 0, min(hi + 1, n - 1)))
+            pos += 1
+            q = state_at[path[pos]] = 0
+            continue
+        have = omega[q]
+        if have is None or have == outs[pi]:  # on to the next word
+            if have is None:
+                omega[q] = outs[pi]
+                stack.append((q,))
+            pi += 1
+            pos = starts[pi]
+            q = state_at[paths[pi][pos]]
+            continue
+        # a dead end: withdraw choices until one has a candidate left
+        while stack:
+            frame = stack.pop()
+            backtracks += 1
+            if len(frame) == 1:
+                omega[frame[0]] = None
+            elif frame[5] < frame[6]:
+                row, a, pi, pos, hi, cand, cap = frame
+                cand += 1
+                row[a] = cand
+                stack.append((row, a, pi, pos, hi, cand, cap))
+                if cand > hi:
+                    hi = cand
+                pos += 1
+                q = state_at[paths[pi][pos]] = cand
+                break
+            else:
+                frame[0][frame[1]] = None
+        else:
+            break
+    stats = SearchStats(nodes, backtracks, time.monotonic() - start)
     if not sat:
         return SearchOutcome(n=n, witness=None, stats=stats)
     partial = Transducer(

@@ -50,45 +50,59 @@ def synthesize_at_traj(
     delta: list[list[Optional[int]]] = [[None] * k for _ in range(n)]
     omega: list[Optional[str]] = [None] * n
     budget = _Budget(cfg, n)
-
-    def solve(pi: int, pos: int, q: int, hi: int) -> bool:
+    # open choices, as in the table engine: a cell (state, symbol, word
+    # index, position, hi, candidate, cap), an output binding (state,), or
+    # () for a position whose cell is bound, which admits one value only
+    stack: list[tuple] = []
+    pi = pos = q = hi = 0
+    sat = False
+    while True:
         budget.tick()
         if pi == len(words):
-            return True
+            sat = True
+            break
         word = words[pi]
-        if pos == len(word):
-            required = outs[pi]
-            if omega[q] is None:
-                omega[q] = required
-                if solve(pi + 1, 0, 0, hi):
-                    return True
-                omega[q] = None
-                budget.backtracks += 1
-                return False
-            if omega[q] != required:
-                return False
-            return solve(pi + 1, 0, 0, hi)
-        a = word[pos]
-        bound = delta[q][a]
-        cap = min(hi + 1, n - 1)
-        # branch over every value of this trajectory variable; the
-        # functionality constraint rejects all but one when already bound
-        for cand in range(cap + 1):
-            if bound is not None:
-                if cand != bound:
-                    continue
-                if solve(pi, pos + 1, cand, max(hi, cand)):
-                    return True
-                budget.backtracks += 1
-            else:
+        if pos < len(word):
+            a = word[pos]
+            bound = delta[q][a]
+            if bound is None:  # branch over every value, 0 first
+                delta[q][a] = 0
+                stack.append((q, a, pi, pos, hi, 0, min(hi + 1, n - 1)))
+                q = 0
+            else:  # the functionality constraint rejects all values but one
+                stack.append(())
+                q = bound
+                hi = max(hi, bound)
+            pos += 1
+            continue
+        have = omega[q]
+        if have is None or have == outs[pi]:  # on to the next word
+            if have is None:
+                omega[q] = outs[pi]
+                stack.append((q,))
+            pi += 1
+            pos = q = 0
+            continue
+        # a dead end: withdraw choices until one has a value left
+        while stack:
+            frame = stack.pop()
+            budget.backtracks += 1
+            if len(frame) == 1:
+                omega[frame[0]] = None
+            elif frame and frame[5] < frame[6]:
+                q, a, pi, pos, hi, cand, cap = frame
+                cand += 1
                 delta[q][a] = cand
-                if solve(pi, pos + 1, cand, max(hi, cand)):
-                    return True
-                delta[q][a] = None
-                budget.backtracks += 1
-        return False
+                stack.append((q, a, pi, pos, hi, cand, cap))
+                q = cand
+                hi = max(hi, cand)
+                pos += 1
+                break
+            elif frame:
+                delta[frame[0]][frame[1]] = None
+        else:
+            break
 
-    sat = solve(0, 0, 0, 0)
     stats = budget.stats()
     if not sat:
         return SearchOutcome(n=n, witness=None, stats=stats)

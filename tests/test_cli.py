@@ -74,6 +74,13 @@ class TestSynth:
         assert main(["synth", str(sl93_file), "-o", str(tmp_path / "s.fst")]) == 0
         assert "lower bound: 3 (output count)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("engine", ["table", "trajectory"])
+    def test_parity_10(self, engine, tmp_path, capsys):
+        path = tmp_path / "parity10.io"
+        path.write_text(write_task(gen_parity(10)))
+        assert main(["synth", str(path), "--engine", engine]) == 0
+        assert "minimal states: 2" in capsys.readouterr().out
+
     def test_dot_output(self, parity_file, tmp_path):
         dot_path = tmp_path / "parity.dot"
         assert main(["synth", str(parity_file), "--dot", str(dot_path),
@@ -144,6 +151,12 @@ class TestRun:
         path.write_text(f"{directive}\n@inputs 0\n@outputs a\n0 a 0\n")
         assert main(["run", str(path), "0"]) == 2
         assert "line 1:" in capsys.readouterr().err
+
+    def test_non_numeric_successor(self, tmp_path, capsys):
+        path = tmp_path / "bad.fst"
+        path.write_text("@states 1\n@inputs 0\n@outputs a\n0 a y\n")
+        assert main(["run", str(path), "0"]) == 2
+        assert "line 4: successor must be a number" in capsys.readouterr().err
 
 
 class TestEntry:

@@ -45,6 +45,21 @@ def test_wrong_body_arity():
         parse_transducer(text)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("@states x\n@inputs 0\n@outputs a\n0 a 0\n", 1),
+        ("@states 1\n@inputs 0\n@outputs a\nz a 0\n", 4),
+        ("@states 1\n@inputs 0\n@outputs a\n0 a y\n", 4),
+    ],
+    ids=["states", "state", "successor"],
+)
+def test_non_numeric_field(text, line):
+    with pytest.raises(TransducerSyntaxError, match=f"line {line}: .* must be a number") as info:
+        parse_transducer(text)
+    assert info.value.lineno == line
+
+
 def test_nonzero_initial_rejected():
     text = "@states 1\n@initial 1\n@inputs 0\n@outputs a\n0 a 0\n"
     with pytest.raises(TransducerSyntaxError):

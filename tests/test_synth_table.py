@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -112,6 +114,42 @@ class TestSynthesizeAt:
         assert info.value.stats.nodes == 11
         assert 0 <= info.value.stats.backtracks <= 11
         assert info.value.stats.seconds >= 0
+
+
+class TestSearchCore:
+    """The explicit-stack engines keep the counts of the recursive search
+    they replaced, level by level."""
+
+    @pytest.mark.parametrize(
+        "task, n, table, traj",
+        [
+            (gen_palindrome(4), 4, (3358, 1923), (11117, 9682)),
+            (gen_zeroes_or_ones(4), 3, (279, 208), (764, 693)),
+            (gen_signal_locator(8, 4), 5, (18516, 16907), (101368, 99759)),
+            (gen_signal_locator(9, 3), 5, (9394, 8078), (60965, 59577)),
+            (word_classification(), 3, (48658, 39986), (144330, 135614)),
+        ],
+        ids=["pal4-4", "zo4-3", "sl8-4-5", "sl9-3-5", "words-3"],
+    )
+    def test_pinned_counts(self, task, n, table, traj):
+        for engine, expected in ((synthesize_at, table), (synthesize_at_traj, traj)):
+            stats = engine(task, n).stats
+            assert (stats.nodes, stats.backtracks) == expected
+
+    @pytest.mark.parametrize("engine", [synthesize_at, synthesize_at_traj])
+    def test_no_recursion_limit(self, engine):
+        task = gen_parity(12)
+        assert len(task.pairs) == 4096 > sys.getrecursionlimit()
+        n_min, witness, trail = synthesize_minimal(task, engine=engine)
+        assert n_min == 2 and trail == []
+        assert verify(witness, task).ok
+
+    @pytest.mark.parametrize("budget", [1, 4095, 4096, 100_000])
+    def test_node_budget_is_exact(self, budget):
+        with pytest.raises(BudgetExhausted) as info:
+            synthesize_at(gen_signal_locator(12, 4), 7, SearchConfig(node_budget=budget))
+        assert info.value.kind == "nodes"
+        assert info.value.stats.nodes == budget + 1
 
 
 class TestSynthesizeMinimal:
