@@ -22,9 +22,9 @@ from .synth_table import (
     search_space_size,
     synthesize_at,
     synthesize_minimal,
+    trajectory_variable_count,
     variable_count,
 )
-from .synth_traj import synthesize_at_traj, trajectory_variable_count
 from .trie import build_trie, minimize
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "run",
     "search_space_size",
     "synthesize_at",
-    "synthesize_at_traj",
     "synthesize_minimal",
     "totalize",
     "trajectory",

@@ -13,6 +13,7 @@ lets the exception propagate to in-process callers).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -40,7 +41,6 @@ from .synth_table import (
     synthesize_minimal,
     variable_count,
 )
-from .synth_traj import synthesize_at_traj
 from .trie import build_trie, minimize
 
 EXIT_OK = 0
@@ -48,7 +48,8 @@ EXIT_UNSAT = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-ENGINES = {"table": synthesize_at, "trajectory": synthesize_at_traj}
+# perfbench/spans.py wraps ENGINES["table"]; cmd_synth looks it up per call
+ENGINES = {"table": synthesize_at}
 
 # the five comparison tasks with the published reference counts
 BENCH_ROWS = (
@@ -93,13 +94,25 @@ def _print_trail(task: TaskSpec, unsat_trail) -> None:
             )
 
 
+def _write_machine(t, args) -> None:
+    """Write t as FST/1 to --output, by default beside the task file with
+    its extension replaced by .fst, and as DOT to --dot if given."""
+    out_path = args.output or os.path.splitext(args.taskfile)[0] + ".fst"
+    with open(out_path, "w", encoding="utf-8") as f:
+        f.write(serialize_transducer(t))
+    print(f"wrote {out_path}")
+    if args.dot:
+        with open(args.dot, "w", encoding="utf-8") as f:
+            f.write(to_dot(t, show_nil_sink=args.nil_sink))
+        print(f"wrote {args.dot}")
+
+
 def cmd_synth(args) -> int:
     task = _read_task(args.taskfile)
     cfg = _search_config(args)
-    engine = ENGINES[args.engine]
     start = time.monotonic()
     try:
-        n_min, witness, unsat_trail = synthesize_minimal(task, cfg, engine=engine)
+        n_min, witness, unsat_trail = synthesize_minimal(task, cfg, engine=ENGINES["table"])
     except NoSolutionWithin as e:
         _print_trail(task, e.trail)
         print(f"UNSAT up to {cfg.max_states} states", file=sys.stderr)
@@ -121,14 +134,7 @@ def cmd_synth(args) -> int:
     )
     _print_trail(task, unsat_trail)
     print(f"total time: {elapsed:.3f}s")
-    out_path = args.output or args.taskfile.rsplit(".", 1)[0] + ".fst"
-    with open(out_path, "w", encoding="utf-8") as f:
-        f.write(serialize_transducer(witness))
-    print(f"wrote {out_path}")
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as f:
-            f.write(to_dot(witness, show_nil_sink=args.nil_sink))
-        print(f"wrote {args.dot}")
+    _write_machine(witness, args)
     return EXIT_OK
 
 
@@ -139,14 +145,7 @@ def cmd_trie(args) -> int:
     if args.minimize:
         t = minimize(t, task)
         print(f"minimized states: {t.n_states}")
-    out_path = args.output or args.taskfile.rsplit(".", 1)[0] + ".fst"
-    with open(out_path, "w", encoding="utf-8") as f:
-        f.write(serialize_transducer(t))
-    print(f"wrote {out_path}")
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as f:
-            f.write(to_dot(t, show_nil_sink=args.nil_sink))
-        print(f"wrote {args.dot}")
+    _write_machine(t, args)
     return EXIT_OK
 
 
@@ -291,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="synthesize a state-minimal transducer")
     p.add_argument("taskfile")
     p.add_argument("--max-states", type=int, default=16)
-    p.add_argument("--engine", choices=sorted(ENGINES), default="table")
     p.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--word-order", choices=WORD_ORDERS, default="as-given")
     p.add_argument("--budget-nodes", type=int, default=None)

@@ -151,13 +151,9 @@ class Transducer:
     delta: tuple[tuple[Optional[int], ...], ...]
     omega: tuple[Optional[str], ...]
 
-    initial_state: int = 0
-
     def __post_init__(self):
         if self.n_states < 1:
             raise FstError("a transducer needs at least one state")
-        if self.initial_state != 0:
-            raise FstError("initial state is fixed to 0")
         object.__setattr__(
             self, "input_alphabet", _check_alphabet(self.input_alphabet, "input")
         )
@@ -276,16 +272,11 @@ def prune(t: Transducer, task: TaskSpec) -> Transducer:
     return Transducer(t.n_states, t.input_alphabet, t.output_alphabet, delta, omega)
 
 
-def totalize(t: Transducer, fill_policy: str = "self-loop") -> Transducer:
-    """Fill every undefined entry: delta per policy, omega with the first
-    output symbol. Task words that avoided the holes are unaffected."""
-    if fill_policy not in ("self-loop", "initial"):
-        raise FstError(f"unknown fill policy {fill_policy!r}")
+def totalize(t: Transducer) -> Transducer:
+    """Fill every undefined entry: delta with a self-loop, omega with the
+    first output symbol. Task words that avoided the holes are unaffected."""
     delta = tuple(
-        tuple(
-            cell if cell is not None else (q if fill_policy == "self-loop" else 0)
-            for cell in row
-        )
+        tuple(q if cell is None else cell for cell in row)
         for q, row in enumerate(t.delta)
     )
     omega = tuple(o if o is not None else t.output_alphabet[0] for o in t.omega)

@@ -2,7 +2,7 @@
 
 Enumerates the raw assignment cube with no symmetry breaking: delta cells
 in row-major order, omega last. Its only virtue is independence from the
-search engines' cleverness; a size cap keeps it honest.
+search engine's cleverness; a size cap keeps it honest.
 """
 
 from __future__ import annotations

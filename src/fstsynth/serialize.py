@@ -92,11 +92,11 @@ def parse_transducer(text: str) -> Transducer:
     )
 
 
-def to_dot(t: Transducer, show_nil_sink: bool = False, name: str = "transducer") -> str:
+def to_dot(t: Transducer, show_nil_sink: bool = False) -> str:
     """Deterministic DOT digraph: nodes in state order, one edge per
     (source, target) with its symbols comma-joined in alphabet order.
     With show_nil_sink, undefined cells route to a shared "nil" node."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;", '  __start [shape=none, label=""];']
+    lines = ["digraph transducer {", "  rankdir=LR;", '  __start [shape=none, label=""];']
     for q in range(t.n_states):
         label = str(q) if t.omega[q] is None else f"{q}:{t.omega[q]}"
         lines.append(f'  q{q} [shape=circle, label="{label}"];')

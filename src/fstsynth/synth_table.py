@@ -71,7 +71,6 @@ class SearchOutcome:
     n: int
     witness: Optional[Transducer]
     stats: SearchStats
-    total: bool = True
     clique: tuple[Word, ...] = ()
 
     @property
@@ -93,6 +92,12 @@ def variable_count(n: int, alphabet_size: int) -> int:
     return n * (alphabet_size + 1)
 
 
+def trajectory_variable_count(task: TaskSpec) -> int:
+    """Variable count of the trajectory encoding, one state per word
+    position: the summed word length."""
+    return sum(len(w) for w, _ in task.pairs)
+
+
 def search_space_size(n: int, alphabet_size: int, output_size: int) -> int:
     """Raw assignment count: n^(n*|I|) * |O|^n."""
     if min(n, alphabet_size, output_size) < 1:
@@ -110,7 +115,7 @@ def ordered_pairs(task: TaskSpec, word_order: str):
 
 
 class _Budget:
-    """Shared node/time accounting; raises when a limit is hit."""
+    """Node/time accounting for the clique search; raises at a limit."""
 
     __slots__ = ("node_budget", "start", "deadline", "nodes", "backtracks", "n")
 

@@ -5,7 +5,7 @@ partial maps.
 Undefined successors are a distinguished class of their own, so a state
 with a defined a-successor never merges with one lacking it. Exploiting
 such don't-cares is NP-hard in general and is exactly what the exact
-search engines do instead; the baseline stays the textbook algorithm.
+search engine does instead; the baseline stays the textbook algorithm.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # site raised CheckFailed.
 SCRIPT = r"""
 import itertools, sys
-from fstsynth import cli, oracle, synth_table, synth_traj, trie
+from fstsynth import cli, oracle, synth_table, trie
 from fstsynth.core import CheckFailed, VerifyReport
 from fstsynth.tasks import gen_parity, gen_zeroes_or_ones
 
@@ -32,7 +32,6 @@ def passes_once():
 
 probes = [
     ("synth_table", synth_table, "verify", fails, lambda: synth_table.synthesize_at(task, 2)),
-    ("synth_traj", synth_traj, "verify", fails, lambda: synth_traj.synthesize_at_traj(task, 2)),
     ("oracle", oracle, "verify", fails, lambda: oracle.oracle_sat(task, 2)),
     ("minimize", trie, "verify", passes_once(), lambda: trie.minimize(trie.build_trie(task), task)),
     ("clique", synth_table, "_max_clique", lambda adj, budget: list(range(len(adj))),
@@ -64,7 +63,6 @@ def test_checks_survive_python_O():
     lines = result.stdout.splitlines()
     assert lines == [
         "synth_table raised",
-        "synth_traj raised",
         "oracle raised",
         "minimize raised",
         "clique raised",

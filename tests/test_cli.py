@@ -44,20 +44,12 @@ class TestSynth:
         assert "UNSAT up to 4 states" in captured.err
         assert re.findall(r"UNSAT at (\d+) states", captured.out) == ["3", "4"]
 
-    def test_budget_never_claims_unsat(self, sl93_file, capsys):
-        code = main(
-            ["synth", str(sl93_file), "--engine", "trajectory", "--budget-nodes", "50"]
-        )
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "budget exhausted" in err
-        assert "UNSAT" not in err
-
     def test_budget_reports_nodes(self, sl93_file, capsys):
         assert main(["synth", str(sl93_file), "--budget-nodes", "50"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("budget exhausted: ")
         assert err.strip().endswith("after 51 nodes")
+        assert "UNSAT" not in err
 
     def test_clique_certified_levels(self, tmp_path, capsys):
         path = tmp_path / "zo8.io"
@@ -74,11 +66,10 @@ class TestSynth:
         assert main(["synth", str(sl93_file), "-o", str(tmp_path / "s.fst")]) == 0
         assert "lower bound: 3 (output count)" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("engine", ["table", "trajectory"])
-    def test_parity_10(self, engine, tmp_path, capsys):
+    def test_parity_10(self, tmp_path, capsys):
         path = tmp_path / "parity10.io"
         path.write_text(write_task(gen_parity(10)))
-        assert main(["synth", str(path), "--engine", engine]) == 0
+        assert main(["synth", str(path)]) == 0
         assert "minimal states: 2" in capsys.readouterr().out
 
     def test_dot_output(self, parity_file, tmp_path):
@@ -114,6 +105,23 @@ class TestTrie:
         path.write_text("abc r\n")
         assert main(["trie", str(path), "-o", str(tmp_path / "t.fst")]) == 0
         assert "trie states: 4" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, taskfile",
+    [("synth", "./parity"), ("synth", "data.v1/parity"), ("trie", "./parity")],
+)
+def test_default_output_beside_task_file(command, taskfile, tmp_path, monkeypatch, capsys):
+    # the extension is taken from the file name, never from a directory
+    monkeypatch.chdir(tmp_path)
+    task_path = tmp_path / taskfile
+    task_path.parent.mkdir(exist_ok=True)
+    task_path.write_text(write_task(gen_parity(2)))
+    assert main([command, taskfile]) == 0
+    out_path = task_path.parent / "parity.fst"
+    assert verify(parse_transducer(out_path.read_text()), gen_parity(2)).ok
+    assert not (tmp_path / ".fst").exists()
+    assert not (tmp_path / "data.fst").exists()
 
 
 class TestRun:

@@ -14,9 +14,9 @@ from fstsynth.synth_table import (
     search_space_size,
     synthesize_at,
     synthesize_minimal,
+    trajectory_variable_count,
     variable_count,
 )
-from fstsynth.synth_traj import synthesize_at_traj
 from fstsynth.tasks import (
     gen_palindrome,
     gen_parity,
@@ -44,6 +44,11 @@ class TestBounds:
         assert variable_count(5, 2) == 15
         assert variable_count(1, 1) == 2
         assert variable_count(3, 17) == 54
+
+    def test_trajectory_variable_count(self):
+        assert trajectory_variable_count(gen_parity(2)) == 8
+        assert trajectory_variable_count(gen_signal_locator(9, 3)) == 81
+        assert trajectory_variable_count(gen_palindrome(5)) == 160
 
     def test_search_space_size(self):
         assert search_space_size(5, 2, 3) == 5**10 * 3**5
@@ -106,10 +111,9 @@ class TestSynthesizeAt:
                 gen_signal_locator(9, 3), 5, SearchConfig(node_budget=10)
             )
 
-    @pytest.mark.parametrize("engine", [synthesize_at, synthesize_at_traj])
-    def test_budget_carries_partial_stats(self, engine):
+    def test_budget_carries_partial_stats(self):
         with pytest.raises(BudgetExhausted) as info:
-            engine(gen_signal_locator(9, 3), 5, SearchConfig(node_budget=10))
+            synthesize_at(gen_signal_locator(9, 3), 5, SearchConfig(node_budget=10))
         assert info.value.n == 5
         assert info.value.stats.nodes == 11
         assert 0 <= info.value.stats.backtracks <= 11
@@ -117,30 +121,28 @@ class TestSynthesizeAt:
 
 
 class TestSearchCore:
-    """The explicit-stack engines keep the counts of the recursive search
-    they replaced, level by level."""
+    """The explicit-stack engine keeps the counts of the recursive search
+    it replaced, level by level."""
 
     @pytest.mark.parametrize(
-        "task, n, table, traj",
+        "task, n, table",
         [
-            (gen_palindrome(4), 4, (3358, 1923), (11117, 9682)),
-            (gen_zeroes_or_ones(4), 3, (279, 208), (764, 693)),
-            (gen_signal_locator(8, 4), 5, (18516, 16907), (101368, 99759)),
-            (gen_signal_locator(9, 3), 5, (9394, 8078), (60965, 59577)),
-            (word_classification(), 3, (48658, 39986), (144330, 135614)),
+            (gen_palindrome(4), 4, (3358, 1923)),
+            (gen_zeroes_or_ones(4), 3, (279, 208)),
+            (gen_signal_locator(8, 4), 5, (18516, 16907)),
+            (gen_signal_locator(9, 3), 5, (9394, 8078)),
+            (word_classification(), 3, (48658, 39986)),
         ],
         ids=["pal4-4", "zo4-3", "sl8-4-5", "sl9-3-5", "words-3"],
     )
-    def test_pinned_counts(self, task, n, table, traj):
-        for engine, expected in ((synthesize_at, table), (synthesize_at_traj, traj)):
-            stats = engine(task, n).stats
-            assert (stats.nodes, stats.backtracks) == expected
+    def test_pinned_counts(self, task, n, table):
+        stats = synthesize_at(task, n).stats
+        assert (stats.nodes, stats.backtracks) == table
 
-    @pytest.mark.parametrize("engine", [synthesize_at, synthesize_at_traj])
-    def test_no_recursion_limit(self, engine):
+    def test_no_recursion_limit(self):
         task = gen_parity(12)
         assert len(task.pairs) == 4096 > sys.getrecursionlimit()
-        n_min, witness, trail = synthesize_minimal(task, engine=engine)
+        n_min, witness, trail = synthesize_minimal(task)
         assert n_min == 2 and trail == []
         assert verify(witness, task).ok
 
