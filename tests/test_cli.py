@@ -44,12 +44,18 @@ class TestSynth:
         assert "UNSAT up to 4 states" in captured.err
         assert re.findall(r"UNSAT at (\d+) states", captured.out) == ["3", "4"]
 
+    def test_budget_never_claims_unsat(self, sl93_file, capsys):
+        code = main(["synth", str(sl93_file), "--budget-nodes", "50"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "budget exhausted" in err
+        assert "UNSAT" not in err
+
     def test_budget_reports_nodes(self, sl93_file, capsys):
         assert main(["synth", str(sl93_file), "--budget-nodes", "50"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("budget exhausted: ")
         assert err.strip().endswith("after 51 nodes")
-        assert "UNSAT" not in err
 
     def test_clique_certified_levels(self, tmp_path, capsys):
         path = tmp_path / "zo8.io"
