@@ -1,5 +1,6 @@
 """Exact minimal single-output transducer synthesis from input-output
-pairs, plus the classical trie + partition-refinement baseline."""
+pairs, plus the classical baseline: the prefix trie with equal subtrees
+merged bottom-up."""
 
 from .core import (
     TaskSpec,

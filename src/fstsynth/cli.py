@@ -31,7 +31,6 @@ from .core import (
 )
 from .serialize import parse_transducer, serialize_transducer, to_dot
 from .synth_table import (
-    WORD_ORDERS,
     BudgetExhausted,
     NoSolutionWithin,
     SearchConfig,
@@ -69,7 +68,6 @@ def _read_task(path: str) -> TaskSpec:
 def _search_config(args) -> SearchConfig:
     return SearchConfig(
         max_states=args.max_states,
-        word_order=args.word_order,
         node_budget=args.budget_nodes,
         time_budget=args.budget_seconds,
     )
@@ -291,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("taskfile")
     p.add_argument("--max-states", type=int, default=16)
     p.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--word-order", choices=WORD_ORDERS, default="as-given")
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--budget-seconds", type=float, default=None)
     p.add_argument("--output", "-o", default=None, help="FST/1 output path")
@@ -334,7 +331,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except FileNotFoundError as e:
-        print(f"cannot read {e.filename}", file=sys.stderr)
+        print(f"cannot open {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except CheckFailed:
         raise

@@ -92,6 +92,11 @@ def parse_transducer(text: str) -> Transducer:
     )
 
 
+def _dot_string(text: str) -> str:
+    """text as a quoted DOT string, with backslash and quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(t: Transducer, show_nil_sink: bool = False) -> str:
     """Deterministic DOT digraph: nodes in state order, one edge per
     (source, target) with its symbols comma-joined in alphabet order.
@@ -99,7 +104,7 @@ def to_dot(t: Transducer, show_nil_sink: bool = False) -> str:
     lines = ["digraph transducer {", "  rankdir=LR;", '  __start [shape=none, label=""];']
     for q in range(t.n_states):
         label = str(q) if t.omega[q] is None else f"{q}:{t.omega[q]}"
-        lines.append(f'  q{q} [shape=circle, label="{label}"];')
+        lines.append(f"  q{q} [shape=circle, label={_dot_string(label)}];")
     nil_needed = show_nil_sink and any(
         c is None for row in t.delta for c in row
     )
@@ -118,6 +123,6 @@ def to_dot(t: Transducer, show_nil_sink: bool = False) -> str:
         for target in sorted(by_target, key=str):
             syms = ",".join(by_target[target])
             dst = "nil" if target == "nil" else f"q{target}"
-            lines.append(f'  q{q} -> {dst} [label="{syms}"];')
+            lines.append(f"  q{q} -> {dst} [label={_dot_string(syms)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import CheckFailed, FstError, TaskSpec, Transducer, Word, totalize, verify
-from .trie import build_trie, minimize
+from .trie import build_trie, children_first, minimize
 
 
 class BudgetExhausted(FstError):
@@ -38,21 +38,17 @@ class NoSolutionWithin(FstError):
         super().__init__(f"no solution with at most {max_states} states")
 
 
-WORD_ORDERS = ("as-given", "shortest-first", "longest-first")
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     max_states: int = 16
-    word_order: str = "as-given"
     node_budget: Optional[int] = None
     time_budget: Optional[float] = None
 
     def __post_init__(self):
         if self.max_states < 1:
             raise FstError("max_states must be >= 1")
-        if self.word_order not in WORD_ORDERS:
-            raise FstError(f"word_order must be one of {WORD_ORDERS}")
+        if any(b is not None and b < 0 for b in (self.node_budget, self.time_budget)):
+            raise FstError("budgets must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -105,15 +101,6 @@ def search_space_size(n: int, alphabet_size: int, output_size: int) -> int:
     return n ** (n * alphabet_size) * output_size**n
 
 
-def ordered_pairs(task: TaskSpec, word_order: str):
-    pairs = list(task.pairs)
-    if word_order == "shortest-first":
-        pairs.sort(key=lambda p: len(p[0]))
-    elif word_order == "longest-first":
-        pairs.sort(key=lambda p: -len(p[0]))
-    return pairs
-
-
 class _Budget:
     """Node/time accounting for the clique search; raises at a limit."""
 
@@ -122,7 +109,7 @@ class _Budget:
     def __init__(self, cfg: SearchConfig, n: int):
         self.node_budget = cfg.node_budget
         self.start = time.monotonic()
-        self.deadline = self.start + cfg.time_budget if cfg.time_budget else None
+        self.deadline = self.start + cfg.time_budget if cfg.time_budget is not None else None
         self.nodes = 0
         self.backtracks = 0
         self.n = n
@@ -161,9 +148,8 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
     alphabet = task.input_alphabet
     k = len(alphabet)
     sym_index = {s: i for i, s in enumerate(alphabet)}
-    pairs = ordered_pairs(task, cfg.word_order)
-    words = [tuple(sym_index[s] for s in w) for w, _ in pairs]
-    outs = [out for _, out in pairs]
+    words = [tuple(sym_index[s] for s in w) for w, _ in task.pairs]
+    outs = [out for _, out in task.pairs]
     # prefix-tree node ids along each word, and the position where it leaves
     # the part of the tree earlier words walked; a sentinel follows the last
     tree: dict[tuple[int, int], int] = {}  # (node, symbol) -> child; root 0
@@ -183,7 +169,7 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
     delta: list[list[Optional[int]]] = [[None] * k for _ in range(n)]
     omega: list[Optional[str]] = [None] * n
     start = time.monotonic()
-    deadline = start + cfg.time_budget if cfg.time_budget else None
+    deadline = start + cfg.time_budget if cfg.time_budget is not None else None
     node_limit = cfg.node_budget if cfg.node_budget is not None else float("inf")
     next_check = min(node_limit + 1, 4096)
     nodes = backtracks = 0
@@ -315,27 +301,14 @@ def incompatibility_clique(task: TaskSpec, budget: Optional[_Budget] = None) -> 
     realization must send them to distinct states, so no machine has fewer
     states than the clique has members (Heule & Verwer, ICGI 2010).
 
-    The graph is built on the Moore quotient of the prefix trie: equivalent
-    prefixes share their suffix function, so the largest clique is the
-    same. Pair tests and branch-and-bound nodes tick `budget`."""
+    The graph is built on the minimized prefix trie: prefixes merged there
+    share their suffix function, so the largest clique is the same. Pair
+    tests and branch-and-bound nodes tick `budget`."""
     if budget is None:
         budget = _Budget(SearchConfig(), 0)
     t = minimize(build_trie(task), task)
     m = t.n_states
-    # bottom-up order (children first), by peeling classes whose children are placed
-    parents: list[list[int]] = [[] for _ in range(m)]
-    pending = [0] * m
-    for u, row in enumerate(t.delta):
-        for c in row:
-            if c is not None:
-                parents[c].append(u)
-                pending[u] += 1
-    order = [u for u in range(m) if not pending[u]]
-    for u in order:  # grows while iterated
-        for p in parents[u]:
-            pending[p] -= 1
-            if not pending[p]:
-                order.append(p)
+    order = children_first(t)
     # u and v are incompatible if both have outputs that differ, or some
     # shared symbol leads to an incompatible pair of children, whose row
     # is complete because both children come earlier in the order (no

@@ -1,6 +1,6 @@
 """Classical baseline: prefix trie over the task words, minimized by
-Moore-style partition refinement generalized to multiple outputs and
-partial maps.
+merging states with equal labelled subtrees, bottom-up, with multiple
+outputs and partial maps.
 
 Undefined successors are a distinguished class of their own, so a state
 with a defined a-successor never merges with one lacking it. Exploiting
@@ -42,37 +42,43 @@ def build_trie(task: TaskSpec) -> Transducer:
     )
 
 
+def children_first(t: Transducer) -> list[int]:
+    """Every state of the acyclic t, each after all its successors, found
+    by peeling states whose successors are placed. Raises
+    PreconditionViolated if a cycle leaves states unplaced."""
+    parents: list[list[int]] = [[] for _ in range(t.n_states)]
+    pending = [0] * t.n_states
+    for u, row in enumerate(t.delta):
+        for c in row:
+            if c is not None:
+                parents[c].append(u)
+                pending[u] += 1
+    order = [u for u in range(t.n_states) if not pending[u]]
+    for u in order:  # grows while iterated
+        for p in parents[u]:
+            pending[p] -= 1
+            if not pending[p]:
+                order.append(p)
+    if len(order) < t.n_states:
+        raise PreconditionViolated("the transducer has a cycle")
+    return order
+
+
 def minimize(t: Transducer, task: TaskSpec) -> Transducer:
-    """Quotient t by the coarsest partition where equivalent states share
-    an output symbol and, per input symbol, equivalent successors
-    (undefined successor counting as its own class)."""
+    """Quotient the acyclic t by merging states with equal labelled
+    subtrees: equal output and, per input symbol, equal successor classes
+    (undefined successor counting as its own class). Classes are assigned
+    children first, so one pass decides them (Revuz, TCS 1992); a cycle
+    raises PreconditionViolated."""
     if not verify(t, task).ok:
         raise PreconditionViolated("minimize requires a verifying transducer")
     n = t.n_states
     k = len(t.input_alphabet)
-
-    # initial partition: one class per output symbol, one for no-output
-    outputs: dict[Optional[str], int] = {}
-    cls = []
-    for q in range(n):
-        cls.append(outputs.setdefault(t.omega[q], len(outputs)))
-
-    # refine until a full pass makes no split
-    while True:
-        signatures: dict[tuple, int] = {}
-        new_cls = []
-        for q in range(n):
-            sig = (
-                cls[q],
-                tuple(
-                    -1 if t.delta[q][a] is None else cls[t.delta[q][a]]
-                    for a in range(k)
-                ),
-            )
-            new_cls.append(signatures.setdefault(sig, len(signatures)))
-        if len(signatures) == len(set(cls)):
-            break
-        cls = new_cls
+    signatures: dict[tuple, int] = {}
+    cls = [0] * n
+    for q in children_first(t):
+        sig = (t.omega[q], tuple(-1 if c is None else cls[c] for c in t.delta[q]))
+        cls[q] = signatures.setdefault(sig, len(signatures))
 
     # renumber classes by breadth-first discovery from the initial class
     order: dict[int, int] = {cls[0]: 0}

@@ -14,6 +14,12 @@ PARITY = Transducer(
 )
 
 
+def sorted_pairs(task, key):
+    """task with its pairs in a stable sort by key: the search walks pairs
+    in task order, so this is how a test picks the word order."""
+    return TaskSpec(task.input_alphabet, task.output_alphabet, tuple(sorted(task.pairs, key=key)))
+
+
 @pytest.fixture
 def parity_machine():
     return PARITY

@@ -51,6 +51,21 @@ class TestSynth:
         assert "budget exhausted" in err
         assert "UNSAT" not in err
 
+    def test_zero_budget_is_a_limit(self, tmp_path, capsys):
+        path = tmp_path / "sl12-4.io"
+        path.write_text(write_task(gen_signal_locator(12, 4)))
+        assert main(["synth", str(path), "--budget-seconds", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("budget exhausted: time budget exhausted")
+        assert not (tmp_path / "sl12-4.fst").exists()
+        assert main(["synth", str(path), "--budget-nodes", "0"]) == 1
+        assert capsys.readouterr().err.strip().endswith("after 1 nodes")
+
+    @pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-seconds"])
+    def test_negative_budget_is_usage_error(self, sl93_file, flag, capsys):
+        assert main(["synth", str(sl93_file), flag, "-1"]) == 2
+        assert capsys.readouterr().err == "error: budgets must be >= 0\n"
+
     def test_budget_reports_nodes(self, sl93_file, capsys):
         assert main(["synth", str(sl93_file), "--budget-nodes", "50"]) == 1
         err = capsys.readouterr().err
@@ -87,6 +102,12 @@ class TestSynth:
     def test_missing_file(self, capsys):
         assert main(["synth", "/nonexistent/task.io"]) == 2
 
+    def test_missing_output_directory(self, parity_file, tmp_path, capsys):
+        out_path = tmp_path / "nodir" / "p.fst"
+        assert main(["synth", str(parity_file), "-o", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"cannot open {out_path}: No such file or directory\n"
+
     def test_malformed_task(self, tmp_path, capsys):
         bad = tmp_path / "bad.io"
         bad.write_text("01 1\n01 0\n")
@@ -105,6 +126,12 @@ class TestTrie:
             ["trie", str(path), "--minimize", "-o", str(tmp_path / "m.fst")]
         ) == 0
         assert "minimized states: 13" in capsys.readouterr().out
+
+    def test_missing_output_directory(self, parity_file, tmp_path, capsys):
+        out_path = tmp_path / "nodir" / "r.fst"
+        assert main(["trie", str(parity_file), "--minimize", "-o", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"cannot open {out_path}: No such file or directory\n"
 
     def test_single_pair(self, tmp_path, capsys):
         path = tmp_path / "one.io"

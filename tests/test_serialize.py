@@ -94,5 +94,15 @@ class TestDot:
         dot = to_dot(t)
         assert 'label="a,b"' in dot
 
+    @pytest.mark.parametrize(
+        "symbol, escaped", [('a"b', r"a\"b"), ("a\\b", r"a\\b")], ids=["quote", "backslash"]
+    )
+    def test_labels_are_escaped(self, symbol, escaped):
+        # the symbol is an output of state 1 and an input on the edge to it
+        t = Transducer(2, ("0", symbol), ("c", symbol), ((1, 1), (None, None)), ("c", symbol))
+        dot = to_dot(t)
+        assert f'  q1 [shape=circle, label="1:{escaped}"];\n' in dot
+        assert f'  q0 -> q1 [label="0,{escaped}"];\n' in dot
+
     def test_deterministic(self, parity_machine):
         assert to_dot(parity_machine) == to_dot(parity_machine)

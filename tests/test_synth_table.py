@@ -3,11 +3,12 @@ import sys
 import pytest
 from hypothesis import given, settings
 
-from conftest import tiny_tasks
+from conftest import sorted_pairs, tiny_tasks
 from fstsynth.core import TaskSpec, Transducer, verify
 from fstsynth.oracle import oracle_sat
 from fstsynth.synth_table import (
     BudgetExhausted,
+    _Budget,
     NoSolutionWithin,
     SearchConfig,
     lower_bound,
@@ -99,11 +100,10 @@ class TestSynthesizeAt:
     def test_word_orders_agree_on_verdict(self):
         task = gen_palindrome(3)
         verdicts = {
-            order: synthesize_at(task, n, SearchConfig(word_order=order)).sat
-            for order in ("as-given", "shortest-first", "longest-first")
-            for n in (3,)
+            synthesize_at(sorted_pairs(task, key), 3).sat
+            for key in (lambda p: 0, lambda p: len(p[0]), lambda p: -len(p[0]))
         }
-        assert len(set(verdicts.values())) == 1
+        assert len(verdicts) == 1
 
     def test_node_budget(self):
         with pytest.raises(BudgetExhausted):
@@ -152,6 +152,18 @@ class TestSearchCore:
             synthesize_at(gen_signal_locator(12, 4), 7, SearchConfig(node_budget=budget))
         assert info.value.kind == "nodes"
         assert info.value.stats.nodes == budget + 1
+
+    def test_zero_time_budget_stops_at_the_first_clock_check(self):
+        with pytest.raises(BudgetExhausted) as info:
+            synthesize_at(gen_signal_locator(12, 4), 7, SearchConfig(time_budget=0))
+        assert info.value.kind == "time"
+        assert info.value.stats.nodes == 4096
+
+    def test_zero_time_budget_stops_the_clique_search(self):
+        budget = _Budget(SearchConfig(time_budget=0), 3)
+        with pytest.raises(BudgetExhausted, match="time"):
+            for _ in range(4096):
+                budget.tick()
 
 
 class TestSynthesizeMinimal:

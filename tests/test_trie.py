@@ -1,8 +1,12 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import tiny_tasks
+from conftest import PARITY, tiny_tasks
+from fstsynth.cli import BENCH_ROWS
 from fstsynth.core import PreconditionViolated, TaskSpec, verify
+from fstsynth.serialize import serialize_transducer
 from fstsynth.synth_table import SearchConfig, synthesize_minimal
 from fstsynth.tasks import (
     gen_palindrome,
@@ -75,6 +79,29 @@ class TestMinimize:
         with pytest.raises(PreconditionViolated):
             minimize(t, gen_signal_locator(9, 3))
 
+    def test_cyclic_machine_rejected(self):
+        with pytest.raises(PreconditionViolated, match="cycle"):
+            minimize(PARITY, gen_parity(2))
+
+    # sha256 of the FST/1 text of each minimized bench trie, as written by
+    # the partition-refinement minimize this one replaced
+    @pytest.mark.parametrize(
+        "row, n_states, digest",
+        [
+            (0, 27, "707c5b25cc43ebdfd327b88df88807caaa70573efdd9515bedc16f022efbd20e"),
+            (1, 28, "b5028fea878234ba075386e40f45d84fab034eec83a62e32a67e5e94ebb05e02"),
+            (2, 13, "1b4ff2d2066fc49fbc83ce86c5df5cb4765fc5b37089673c2bb19a383508ca21"),
+            (3, 12, "e4c2a9cb13ca6e1193cf7ab2281e7cfc2f9ee156ef831c152fdb6a3cb9f36953"),
+            (4, 55, "7ee0338c2af2fe4e8e5464ae3566e594bcb075a384942b7829b64d60b6345cdb"),
+        ],
+        ids=["sl9-3", "sl8-4", "zo4", "pal4", "words"],
+    )
+    def test_pinned_bench_files(self, row, n_states, digest):
+        task = BENCH_ROWS[row][1]()
+        m = minimize(build_trie(task), task)
+        assert m.n_states == n_states
+        assert hashlib.sha256(serialize_transducer(m).encode()).hexdigest() == digest
+
     def test_undefined_successors_never_merge_with_defined(self):
         # "a" and "aa" demand the same output but only the first has a
         # defined continuation, so they stay apart
@@ -90,3 +117,13 @@ def test_sandwich_property(task):
     mini = minimize(trie, task)
     n_min, _, _ = synthesize_minimal(task, SearchConfig(max_states=8))
     assert n_min <= mini.n_states <= trie.n_states
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_tasks())
+def test_minimized_states_are_distinct(task):
+    mini = minimize(build_trie(task), task)
+    assert verify(mini, task).ok
+    rows = {(mini.omega[q], mini.delta[q]) for q in range(mini.n_states)}
+    assert len(rows) == mini.n_states
+    assert serialize_transducer(minimize(mini, task)) == serialize_transducer(mini)
