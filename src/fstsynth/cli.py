@@ -13,6 +13,7 @@ lets the exception propagate to in-process callers).
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import time
@@ -92,22 +93,35 @@ def _print_trail(task: TaskSpec, unsat_trail) -> None:
             )
 
 
-def _write_machine(t, args) -> None:
-    """Write t as FST/1 to --output, by default beside the task file with
-    its extension replaced by .fst, and as DOT to --dot if given."""
-    out_path = args.output or os.path.splitext(args.taskfile)[0] + ".fst"
+def _output_paths(args) -> tuple[str, str | None]:
+    """The FST/1 path, --output or by default beside the task file with its
+    extension replaced by .fst, and the --dot path or None. A directory, or
+    a path in a missing directory, raises before any work the error that
+    opening it would raise."""
+    paths = (args.output or os.path.splitext(args.taskfile)[0] + ".fst", args.dot)
+    for path in filter(None, paths):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
+    return paths
+
+
+def _write_machine(t, paths: tuple[str, str | None], nil_sink: bool) -> None:
+    """Write t as FST/1 to paths[0] and, if paths[1] is set, as DOT there."""
+    out_path, dot = paths
     with open(out_path, "w", encoding="utf-8") as f:
         f.write(serialize_transducer(t))
     print(f"wrote {out_path}")
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as f:
-            f.write(to_dot(t, show_nil_sink=args.nil_sink))
-        print(f"wrote {args.dot}")
+    if dot:
+        with open(dot, "w", encoding="utf-8") as f:
+            f.write(to_dot(t, show_nil_sink=nil_sink))
+        print(f"wrote {dot}")
 
 
 def cmd_synth(args) -> int:
     task = _read_task(args.taskfile)
     cfg = _search_config(args)
+    paths = _output_paths(args)
     start = time.monotonic()
     try:
         n_min, witness, unsat_trail = synthesize_minimal(task, cfg, engine=ENGINES["table"])
@@ -132,18 +146,19 @@ def cmd_synth(args) -> int:
     )
     _print_trail(task, unsat_trail)
     print(f"total time: {elapsed:.3f}s")
-    _write_machine(witness, args)
+    _write_machine(witness, paths, args.nil_sink)
     return EXIT_OK
 
 
 def cmd_trie(args) -> int:
     task = _read_task(args.taskfile)
+    paths = _output_paths(args)
     t = build_trie(task)
     print(f"trie states: {t.n_states}")
     if args.minimize:
         t = minimize(t, task)
         print(f"minimized states: {t.n_states}")
-    _write_machine(t, args)
+    _write_machine(t, paths, args.nil_sink)
     return EXIT_OK
 
 
@@ -226,11 +241,10 @@ def cmd_bench(args) -> int:
 
 
 def _parse_word(raw: str, alphabet) -> tuple[str, ...]:
-    if "," in raw:
-        return tuple(raw.split(","))
+    """Characters if every input symbol is one, else comma-separated tokens."""
     if all(len(s) == 1 for s in alphabet):
         return tuple(raw)
-    return (raw,)
+    return tuple(raw.split(","))
 
 
 def cmd_run(args) -> int:
@@ -330,7 +344,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
+    except OSError as e:
+        if e.filename is None:
+            raise
         print(f"cannot open {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except CheckFailed:

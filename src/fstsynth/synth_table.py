@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import CheckFailed, FstError, TaskSpec, Transducer, Word, totalize, verify
-from .trie import build_trie, children_first, minimize
+from .trie import breadth_first, build_trie, subtree_classes
 
 
 class BudgetExhausted(FstError):
@@ -301,42 +301,33 @@ def incompatibility_clique(task: TaskSpec, budget: Optional[_Budget] = None) -> 
     realization must send them to distinct states, so no machine has fewer
     states than the clique has members (Heule & Verwer, ICGI 2010).
 
-    The graph is built on the minimized prefix trie: prefixes merged there
-    share their suffix function, so the largest clique is the same. Pair
-    tests and branch-and-bound nodes tick `budget`."""
+    The graph has one vertex per class of the prefix trie's subtree
+    table, numbered as `trie.minimize` numbers its states: prefixes in one
+    class share their suffix function, so the largest clique is the same.
+    Pair tests and branch-and-bound nodes tick `budget`."""
     if budget is None:
         budget = _Budget(SearchConfig(), 0)
-    t = minimize(build_trie(task), task)
-    m = t.n_states
-    order = children_first(t)
+    cls, classes = subtree_classes(build_trie(task))
+    first = breadth_first(cls, classes)
+    vertex = {c: i for i, c in enumerate(first)}
     # u and v are incompatible if both have outputs that differ, or some
     # shared symbol leads to an incompatible pair of children, whose row
-    # is complete because both children come earlier in the order (no
-    # class is incompatible with itself)
-    adj = [0] * m
-    for i, u in enumerate(order):
+    # is complete because classes are numbered children first (no class
+    # is incompatible with itself)
+    adj = [0] * len(classes)
+    for u, (ou, su) in enumerate(classes):
         row = 0
-        for v in order[:i]:
+        for v, (ov, sv) in enumerate(classes[:u]):
             budget.tick()
-            ou, ov = t.omega[u], t.omega[v]
             if (ou is not None and ov is not None and ou != ov) or any(
-                cu is not None and cv is not None and adj[cu] >> cv & 1
-                for cu, cv in zip(t.delta[u], t.delta[v])
+                cu >= 0 and cv >= 0 and adj[vertex[cu]] >> vertex[cv] & 1 for cu, cv in zip(su, sv)
             ):
-                row |= 1 << v
-        adj[u] |= row
+                row |= 1 << vertex[v]
+        adj[vertex[u]] |= row
         for v in _bits(row):
-            adj[v] |= 1 << u
-    # one shortest prefix per class, breadth-first from the initial class
-    words: list[Optional[Word]] = [None] * m
-    words[0] = ()
-    queue = [0]
-    for u in queue:  # grows while iterated
-        for sym, c in zip(t.input_alphabet, t.delta[u]):
-            if c is not None and words[c] is None:
-                words[c] = words[u] + (sym,)
-                queue.append(c)
-    members = (words[v] for v in _max_clique(adj, budget))
+            adj[v] |= 1 << vertex[u]
+    words = list(first.values())
+    members = (tuple(task.input_alphabet[a] for a in words[v]) for v in _max_clique(adj, budget))
     clique = tuple(sorted(members, key=lambda w: (len(w), w)))
     check_clique(task, clique)
     return clique

@@ -171,7 +171,8 @@ def parse_task(text: str) -> TaskSpec:
 
 
 def write_task(task: TaskSpec) -> str:
-    """Serialize to IOPAIRS/1; parse(write(task)) == task."""
+    """Serialize to IOPAIRS/1; parse(write(task)) == task. Raises FstError
+    for a word starting with "#" or "@", which would not read back."""
     chars_ok = all(len(s) == 1 for s in task.input_alphabet)
     lines = []
     if not chars_ok:
@@ -180,5 +181,7 @@ def write_task(task: TaskSpec) -> str:
     lines.append("@outputs " + " ".join(task.output_alphabet))
     for word, out in task.pairs:
         text = "".join(word) if chars_ok else ",".join(word)
+        if text[0] in "#@":  # would read back as a comment or a directive
+            raise FstError(f"word {text!r} cannot be written: it starts with {text[0]!r}")
         lines.append(f"{text} {out}")
     return "\n".join(lines) + "\n"

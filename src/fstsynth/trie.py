@@ -1,6 +1,7 @@
 """Classical baseline: prefix trie over the task words, minimized by
 merging states with equal labelled subtrees, bottom-up, with multiple
-outputs and partial maps.
+outputs and partial maps. `minimize` and the clique lower bound in
+`synth_table` read the same subtree-class table.
 
 Undefined successors are a distinguished class of their own, so a state
 with a defined a-successor never merges with one lacking it. Exploiting
@@ -10,7 +11,6 @@ search engine does instead; the baseline stays the textbook algorithm.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 from .core import CheckFailed, PreconditionViolated, TaskSpec, Transducer, verify
@@ -42,9 +42,11 @@ def build_trie(task: TaskSpec) -> Transducer:
     )
 
 
-def children_first(t: Transducer) -> list[int]:
-    """Every state of the acyclic t, each after all its successors, found
-    by peeling states whose successors are placed. Raises
+def subtree_classes(t: Transducer) -> tuple[list[int], list[tuple]]:
+    """The states of the acyclic t grouped by labelled subtree, in one
+    children-first peel: (cls, classes), where cls[q] is the class of state
+    q and classes[c] is (output, successor classes with -1 for undefined).
+    A class is numbered after the classes of its successors. Raises
     PreconditionViolated if a cycle leaves states unplaced."""
     parents: list[list[int]] = [[] for _ in range(t.n_states)]
     pending = [0] * t.n_states
@@ -53,72 +55,58 @@ def children_first(t: Transducer) -> list[int]:
             if c is not None:
                 parents[c].append(u)
                 pending[u] += 1
+    signatures: dict[tuple, int] = {}
+    cls = [0] * t.n_states
     order = [u for u in range(t.n_states) if not pending[u]]
     for u in order:  # grows while iterated
+        sig = (t.omega[u], tuple(-1 if c is None else cls[c] for c in t.delta[u]))
+        cls[u] = signatures.setdefault(sig, len(signatures))
         for p in parents[u]:
             pending[p] -= 1
             if not pending[p]:
                 order.append(p)
     if len(order) < t.n_states:
         raise PreconditionViolated("the transducer has a cycle")
-    return order
+    return cls, list(signatures)
+
+
+def breadth_first(cls: list[int], classes: list[tuple]) -> dict[int, tuple[int, ...]]:
+    """The classes reachable from the initial class cls[0], in breadth-first
+    discovery order with successors taken in symbol order, each mapped to
+    the first shortest word (as symbol indices) that reaches it."""
+    words = {cls[0]: ()}
+    queue = [cls[0]]
+    for c in queue:  # grows while iterated
+        for a, s in enumerate(classes[c][1]):
+            if s >= 0 and s not in words:
+                words[s] = words[c] + (a,)
+                queue.append(s)
+    return words
 
 
 def minimize(t: Transducer, task: TaskSpec) -> Transducer:
     """Quotient the acyclic t by merging states with equal labelled
     subtrees: equal output and, per input symbol, equal successor classes
-    (undefined successor counting as its own class). Classes are assigned
-    children first, so one pass decides them (Revuz, TCS 1992); a cycle
-    raises PreconditionViolated."""
+    (undefined successor counting as its own class). The classes come from
+    one children-first pass (Revuz, TCS 1992) and are numbered breadth
+    first from the initial class; a cycle raises PreconditionViolated."""
     if not verify(t, task).ok:
         raise PreconditionViolated("minimize requires a verifying transducer")
-    n = t.n_states
-    k = len(t.input_alphabet)
-    signatures: dict[tuple, int] = {}
-    cls = [0] * n
-    for q in children_first(t):
-        sig = (t.omega[q], tuple(-1 if c is None else cls[c] for c in t.delta[q]))
-        cls[q] = signatures.setdefault(sig, len(signatures))
-
-    # renumber classes by breadth-first discovery from the initial class
-    order: dict[int, int] = {cls[0]: 0}
-    members: dict[int, list[int]] = {}
-    for q in range(n):
-        members.setdefault(cls[q], []).append(q)
-    queue = deque([cls[0]])
-    while queue:
-        c = queue.popleft()
-        rep = members[c][0]
-        for a in range(k):
-            succ = t.delta[rep][a]
-            if succ is None:
-                continue
-            sc = cls[succ]
-            if sc not in order:
-                order[sc] = len(order)
-                queue.append(sc)
-    # unreachable classes (none for tries) go after, in state order
-    for q in range(n):
-        if cls[q] not in order:
-            order[cls[q]] = len(order)
-
-    m = len(order)
-    delta: list[list[Optional[int]]] = [[None] * k for _ in range(m)]
-    omega: list[Optional[str]] = [None] * m
-    for c, qs in members.items():
-        i = order[c]
-        rep = qs[0]
-        omega[i] = t.omega[rep]
-        for a in range(k):
-            succ = t.delta[rep][a]
-            delta[i][a] = None if succ is None else order[cls[succ]]
-        # the quotient map must be a transducer morphism
-        for q in qs[1:]:
-            targets = [None if succ is None else order[cls[succ]] for succ in t.delta[q]]
-            if t.omega[q] != omega[i] or targets != delta[i]:
-                raise CheckFailed(f"state {q} does not agree with its class {i}")
+    cls, classes = subtree_classes(t)
+    number = {c: i for i, c in enumerate(breadth_first(cls, classes))}
+    for c in cls:  # unreachable classes (none for tries) go after, in state order
+        number.setdefault(c, len(number))
+    # the dict lists the classes in their new order
+    omega = [classes[c][0] for c in number]
+    delta = [[None if s < 0 else number[s] for s in classes[c][1]] for c in number]
+    # the quotient map must be a transducer morphism
+    image = [number[c] for c in cls]
+    for q, row in enumerate(t.delta):
+        i = image[q]
+        if t.omega[q] != omega[i] or [None if s is None else image[s] for s in row] != delta[i]:
+            raise CheckFailed(f"state {q} does not agree with its class {i}")
     result = Transducer(
-        m,
+        len(classes),
         t.input_alphabet,
         t.output_alphabet,
         tuple(tuple(row) for row in delta),

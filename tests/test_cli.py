@@ -105,8 +105,28 @@ class TestSynth:
     def test_missing_output_directory(self, parity_file, tmp_path, capsys):
         out_path = tmp_path / "nodir" / "p.fst"
         assert main(["synth", str(parity_file), "-o", str(out_path)]) == 2
-        err = capsys.readouterr().err
-        assert err == f"cannot open {out_path}: No such file or directory\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before the search
+        assert captured.err == f"cannot open {out_path}: No such file or directory\n"
+
+    def test_missing_dot_directory(self, sl93_file, tmp_path, capsys):
+        dot_path = tmp_path / "nodir" / "p.dot"
+        out_path = tmp_path / "p.fst"
+        assert main(["synth", str(sl93_file), "-o", str(out_path), "--dot", str(dot_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot open {dot_path}: No such file or directory\n"
+        assert not out_path.exists()
+
+    def test_directory_as_task_file(self, tmp_path, capsys):
+        assert main(["synth", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"cannot open {tmp_path}: Is a directory\n"
+
+    def test_directory_as_output(self, sl93_file, tmp_path, capsys):
+        assert main(["synth", str(sl93_file), "-o", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot open {tmp_path}: Is a directory\n"
 
     def test_malformed_task(self, tmp_path, capsys):
         bad = tmp_path / "bad.io"
@@ -130,8 +150,17 @@ class TestTrie:
     def test_missing_output_directory(self, parity_file, tmp_path, capsys):
         out_path = tmp_path / "nodir" / "r.fst"
         assert main(["trie", str(parity_file), "--minimize", "-o", str(out_path)]) == 2
-        err = capsys.readouterr().err
-        assert err == f"cannot open {out_path}: No such file or directory\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before the trie is built
+        assert captured.err == f"cannot open {out_path}: No such file or directory\n"
+
+    def test_directory_as_task_file_or_output(self, parity_file, tmp_path, capsys):
+        assert main(["trie", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"cannot open {tmp_path}: Is a directory\n"
+        assert main(["trie", str(parity_file), "-o", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot open {tmp_path}: Is a directory\n"
 
     def test_single_pair(self, tmp_path, capsys):
         path = tmp_path / "one.io"
@@ -193,6 +222,28 @@ class TestRun:
         assert main(["run", str(path), "0"]) == 2
         assert "line 1:" in capsys.readouterr().err
 
+    def test_directory_as_machine_file(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path), "0"]) == 2
+        assert capsys.readouterr().err == f"cannot open {tmp_path}: Is a directory\n"
+
+    def test_comma_is_a_symbol_in_chars_mode(self, tmp_path, capsys):
+        task = tmp_path / "c.io"
+        task.write_text("0,1 a\n1 b\n")
+        machine = tmp_path / "c.fst"
+        assert main(["synth", str(task), "-o", str(machine)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(machine), "0,1"]) == 0
+        assert capsys.readouterr().out == "a\n"
+
+    def test_tokens_split_at_commas(self, tmp_path, capsys):
+        task = tmp_path / "t.io"
+        task.write_text("@mode tokens\nfoo,bar x\nbar y\n")
+        machine = tmp_path / "t.fst"
+        assert main(["synth", str(task), "-o", str(machine)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(machine), "foo,bar"]) == 0
+        assert capsys.readouterr().out == "x\n"
+
     def test_non_numeric_successor(self, tmp_path, capsys):
         path = tmp_path / "bad.fst"
         path.write_text("@states 1\n@inputs 0\n@outputs a\n0 a y\n")
@@ -217,10 +268,20 @@ class TestEntry:
         with pytest.raises(RuntimeError):
             main(["gen", "parity", "2"])
 
+    def test_os_error_without_a_file_is_internal(self, monkeypatch, capsys):
+        def no_file(args):
+            raise OSError("no file involved")
+
+        monkeypatch.setattr(cli, "cmd_gen", no_file)
+        with pytest.raises(OSError):
+            main(["gen", "parity", "2"])
+        assert entry(["gen", "parity", "2"]) == 3
+
     def test_entry_passes_exit_codes(self, parity_file, tmp_path):
         assert entry(["synth", str(parity_file), "-o", str(tmp_path / "p.fst")]) == 0
         assert entry(["synth", str(parity_file), "--max-states", "1"]) == 1
         assert entry(["synth", str(tmp_path / "missing.io")]) == 2
+        assert entry(["synth", str(tmp_path)]) == 2
 
 
 class TestGen:
@@ -234,6 +295,10 @@ class TestGen:
         assert main(["gen", "parity", "2"]) == 0
         task = parse_task(capsys.readouterr().out)
         assert task == gen_parity(2)
+
+    def test_directory_as_output(self, tmp_path, capsys):
+        assert main(["gen", "parity", "2", "-o", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"cannot open {tmp_path}: Is a directory\n"
 
     def test_nondivisible(self, capsys):
         assert main(["gen", "signal-locator", "9", "4"]) == 2

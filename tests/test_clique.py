@@ -58,6 +58,24 @@ def test_clique_sizes(task, size):
     assert_pairwise_incompatible(task, clique)
 
 
+# each clique and its _Budget tick count as computed on the minimized
+# trie, before the clique read the subtree-class table directly
+@pytest.mark.parametrize(
+    "task, clique, ticks",
+    [
+        (gen_zeroes_or_ones(6), ("0000", "0001", "0011", "0111", "1111"), 266),
+        (gen_palindrome(5), ("00", "01", "10", "11"), 145),
+        (gen_signal_locator(9, 3), ("0000001", "0000010", "0010000"), 400),
+        (word_classification(), ("eki", "asztal", "erudite"), 1590),
+    ],
+    ids=["zo6", "pal5", "sl9-3", "words"],
+)
+def test_pinned_cliques(task, clique, ticks):
+    budget = _Budget(SearchConfig(), 0)
+    assert incompatibility_clique(task, budget) == tuple(tuple(w) for w in clique)
+    assert budget.nodes == ticks
+
+
 def test_zo8_levels_four_and_five_are_certified():
     task = gen_zeroes_or_ones(8)
     n_min, witness, trail = synthesize_minimal(task)

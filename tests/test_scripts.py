@@ -1,5 +1,5 @@
 """Every script under scripts/ must at least import and parse its
-arguments: `--help` exits 0."""
+arguments: `--help` exits 0. The quick ones also run."""
 
 import os
 import subprocess
@@ -8,14 +8,36 @@ from pathlib import Path
 
 import pytest
 
+from fstsynth.cli import BENCH_ROWS
+from fstsynth.core import verify
+from fstsynth.serialize import parse_transducer
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
 def test_help_exits_0(script):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
-        [sys.executable, str(script), "--help"], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, str(script), "--help"], capture_output=True, text=True, env=ENV, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_reproduce_results(tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_results.py"), "--out", str(tmp_path)],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    # per bench task: the synthesized machine as FST/1 and DOT, and the
+    # minimized trie as DOT; then the comparison table
+    slugs = {name.lower().replace(" ", "_").replace("-", "_"): make for name, make, *_ in BENCH_ROWS}
+    expected = {f"{slug}{suffix}" for slug in slugs for suffix in (".fst", ".dot", "_trie_min.dot")}
+    assert {p.name for p in tmp_path.iterdir()} == expected | {"comparison.csv"}
+    lines = (tmp_path / "comparison.csv").read_text().splitlines()
+    assert lines[0].startswith("Task,Minimal,Trie,Minimized")
+    assert len(lines) == 1 + len(BENCH_ROWS)
+    for slug, make_task in slugs.items():
+        assert verify(parse_transducer((tmp_path / f"{slug}.fst").read_text()), make_task()).ok

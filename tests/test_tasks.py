@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import tiny_tasks
-from fstsynth.core import ContradictoryPair, FstError
+from fstsynth.core import ContradictoryPair, FstError, TaskSpec
 from fstsynth.tasks import (
     NonDivisible,
     TaskSyntaxError,
@@ -131,6 +131,20 @@ class TestTaskFormat:
 
     def test_roundtrip_word_classification(self):
         task = word_classification()
+        assert parse_task(write_task(task)) == task
+
+    @pytest.mark.parametrize(
+        "inputs, word",
+        [(("#", "0"), ("#", "0")), (("@", "0"), ("@", "0")), (("@mode", "0"), ("@mode", "0"))],
+        ids=["comment", "directive", "tokens"],
+    )
+    def test_write_refuses_what_would_not_read_back(self, inputs, word):
+        task = TaskSpec(inputs, ("a", "b"), ((word, "a"), (("0",), "b")))
+        with pytest.raises(FstError, match="cannot be written"):
+            write_task(task)
+
+    def test_marker_inside_a_word_round_trips(self):
+        task = TaskSpec(("#", "@", "0"), ("a",), ((w("0#@"), "a"),))
         assert parse_task(write_task(task)) == task
 
     @settings(max_examples=50)

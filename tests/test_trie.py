@@ -15,7 +15,7 @@ from fstsynth.tasks import (
     gen_zeroes_or_ones,
     word_classification,
 )
-from fstsynth.trie import build_trie, minimize
+from fstsynth.trie import build_trie, minimize, subtree_classes
 
 
 def w(s):
@@ -127,3 +127,32 @@ def test_minimized_states_are_distinct(task):
     rows = {(mini.omega[q], mini.delta[q]) for q in range(mini.n_states)}
     assert len(rows) == mini.n_states
     assert serialize_transducer(minimize(mini, task)) == serialize_transducer(mini)
+
+
+def test_subtree_classes_reject_a_cycle():
+    with pytest.raises(PreconditionViolated, match="cycle"):
+        subtree_classes(PARITY)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_tasks())
+def test_subtree_classes_are_suffix_functions(task):
+    trie = build_trie(task)
+    cls, classes = subtree_classes(trie)
+    assert sorted(set(cls)) == list(range(len(classes)))
+    for c, (_, successors) in enumerate(classes):
+        assert all(s < c for s in successors)
+    # independent of the peel: each trie state's prefix, then its set of
+    # (suffix, output) over the task words
+    prefix = {0: ()}
+    for q in range(trie.n_states):  # a trie child has a larger number
+        for sym, child in zip(trie.input_alphabet, trie.delta[q]):
+            if child is not None:
+                prefix[child] = prefix[q] + (sym,)
+    suffixes = [
+        frozenset((w[len(p):], out) for w, out in task.pairs if w[: len(p)] == p)
+        for p in (prefix[q] for q in range(trie.n_states))
+    ]
+    for q in range(trie.n_states):
+        for r in range(q):
+            assert (cls[q] == cls[r]) == (suffixes[q] == suffixes[r])
