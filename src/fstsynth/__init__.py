@@ -4,7 +4,6 @@ merged bottom-up."""
 
 from .core import (
     TaskSpec,
-    Trajectory,
     Transducer,
     VerifyReport,
     defined_map_count,
@@ -30,7 +29,6 @@ from .trie import build_trie, minimize
 
 __all__ = [
     "TaskSpec",
-    "Trajectory",
     "Transducer",
     "VerifyReport",
     "SearchConfig",

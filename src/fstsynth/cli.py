@@ -96,13 +96,22 @@ def _print_trail(task: TaskSpec, unsat_trail) -> None:
 def _output_paths(args) -> tuple[str, str | None]:
     """The FST/1 path, --output or by default beside the task file with its
     extension replaced by .fst, and the --dot path or None. A directory, or
-    a path in a missing directory, raises before any work the error that
-    opening it would raise."""
+    a path whose directory is missing or is not a directory, raises before
+    any work the error that opening it would raise."""
     paths = (args.output or os.path.splitext(args.taskfile)[0] + ".fst", args.dot)
     for path in filter(None, paths):
-        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
-            code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
-            raise OSError(code, os.strerror(code), path)
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif os.path.isdir(parent):
+            continue
+        else:
+            try:
+                os.stat(parent)
+                code = errno.ENOTDIR  # it exists, and is not a directory
+            except OSError as e:
+                code = e.errno
+        raise OSError(code, os.strerror(code), path)
     return paths
 
 
@@ -256,8 +265,7 @@ def cmd_run(args) -> int:
     word = _parse_word(args.word, t.input_alphabet)
     try:
         if args.trace:
-            traj = trajectory(t, word)
-            print("trajectory: " + " ".join(str(q) for q in traj.states))
+            print("trajectory: " + " ".join(str(q) for q in trajectory(t, word)))
         out = run(t, word)
     except UndefinedTransition as e:
         print(f"undefined transition at position {e.position}", file=sys.stderr)

@@ -1,5 +1,5 @@
-"""Core domain types: tasks, transducers, trajectories, and the operations
-(simulate, verify, prune, totalize, relabel) every other module builds on.
+"""Core domain types: tasks and transducers, and the operations (simulate,
+verify, prune, totalize, relabel) every other module builds on.
 
 States are dense integers 0..n-1 with the initial state hardwired to 0.
 Symbols are plain non-empty strings. Undefined table entries are None; the
@@ -10,6 +10,7 @@ legal symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 UNDEFINED_TOKEN = "-"
@@ -126,10 +127,6 @@ class TaskSpec:
             raise EmptyTask("a task needs at least one (word, output) pair")
         object.__setattr__(self, "pairs", tuple(deduped))
 
-    @property
-    def words(self) -> tuple[Word, ...]:
-        return tuple(w for w, _ in self.pairs)
-
     def used_outputs(self) -> tuple[str, ...]:
         """Output symbols that actually occur in pairs, in alphabet order."""
         used = {out for _, out in self.pairs}
@@ -179,7 +176,7 @@ class Transducer:
                 raise UnknownSymbol(out, self.output_alphabet)
         object.__setattr__(self, "omega", omega)
 
-    @property
+    @cached_property
     def symbol_index(self) -> dict[str, int]:
         return {s: i for i, s in enumerate(self.input_alphabet)}
 
@@ -190,25 +187,16 @@ class Transducer:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """The state sequence a word induces from the initial state."""
-
-    states: tuple[int, ...]
-
-    @property
-    def final(self) -> int:
-        return self.states[-1]
-
-
-@dataclass(frozen=True)
 class VerifyReport:
     ok: bool
     failures: tuple[tuple[Word, str, str], ...] = ()
     # each failure is (word, required output, reason)
 
 
-def trajectory(t: Transducer, word: Sequence[str]) -> Trajectory:
-    """Run word through t and return all |word|+1 visited states."""
+def trajectory(t: Transducer, word: Sequence[str]) -> tuple[int, ...]:
+    """Run word through t and return all |word|+1 visited states, the
+    initial state first. This is the one walk through a machine; the
+    oracle keeps its own, as the independent ground truth."""
     idx = t.symbol_index
     states = [0]
     q = 0
@@ -220,12 +208,12 @@ def trajectory(t: Transducer, word: Sequence[str]) -> Trajectory:
             raise UndefinedTransition(q, sym, pos)
         q = nxt
         states.append(q)
-    return Trajectory(tuple(states))
+    return tuple(states)
 
 
 def run(t: Transducer, word: Sequence[str]) -> str:
     """Output symbol for word: omega applied to the trajectory's last state."""
-    q = trajectory(t, word).final
+    q = trajectory(t, word)[-1]
     out = t.omega[q]
     if out is None:
         raise UndefinedOutput(q)
@@ -249,18 +237,22 @@ def verify(t: Transducer, task: TaskSpec) -> VerifyReport:
 def prune(t: Transducer, task: TaskSpec) -> Transducer:
     """Drop every delta cell and omega entry no task word touches.
 
-    Requires t to verify the task; the pruned machine still verifies it.
+    Requires t to verify the task: each pair is walked once, and the first
+    that does not reproduce raises PreconditionViolated. The pruned machine
+    still verifies the task.
     """
-    if not verify(t, task).ok:
-        raise PreconditionViolated("prune requires a verifying transducer")
     idx = t.symbol_index
     used_cells: set[tuple[int, int]] = set()
     used_outputs: set[int] = set()
-    for word, _ in task.pairs:
-        traj = trajectory(t, word)
-        for i, sym in enumerate(word):
-            used_cells.add((traj.states[i], idx[sym]))
-        used_outputs.add(traj.final)
+    for word, out in task.pairs:
+        try:
+            states = trajectory(t, word)
+        except (UndefinedTransition, UnknownSymbol):
+            states = None
+        if states is None or t.omega[states[-1]] != out:
+            raise PreconditionViolated("prune requires a verifying transducer")
+        used_cells.update(zip(states, (idx[sym] for sym in word)))
+        used_outputs.add(states[-1])
     delta = tuple(
         tuple(t.delta[q][a] if (q, a) in used_cells else None
               for a in range(len(t.input_alphabet)))
@@ -304,10 +296,4 @@ def relabel(t: Transducer, perm: Sequence[int]) -> Transducer:
         omega[perm[q]] = t.omega[q]
         for a, cell in enumerate(t.delta[q]):
             delta[perm[q]][a] = None if cell is None else perm[cell]
-    return Transducer(
-        n,
-        t.input_alphabet,
-        t.output_alphabet,
-        tuple(tuple(row) for row in delta),
-        tuple(omega),
-    )
+    return Transducer(n, t.input_alphabet, t.output_alphabet, delta, omega)

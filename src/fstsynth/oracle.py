@@ -54,13 +54,7 @@ def oracle_sat(
             omega_full = tuple(
                 o if o is not None else task.output_alphabet[0] for o in omega
             )
-            witness = Transducer(
-                n,
-                task.input_alphabet,
-                task.output_alphabet,
-                tuple(tuple(row) for row in delta),
-                omega_full,
-            )
+            witness = Transducer(n, task.input_alphabet, task.output_alphabet, delta, omega_full)
             if not verify(witness, task).ok:
                 raise CheckFailed("oracle produced a non-verifying witness")
             return True, witness

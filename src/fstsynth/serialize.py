@@ -87,9 +87,7 @@ def parse_transducer(text: str) -> Transducer:
         omega[q] = None if fields[1] == UNDEFINED_TOKEN else fields[1]
         for a, cell in enumerate(fields[2:]):
             delta[q][a] = None if cell == UNDEFINED_TOKEN else _number(lineno, cell, "successor")
-    return Transducer(
-        n, inputs, outputs, tuple(tuple(row) for row in delta), tuple(omega)
-    )
+    return Transducer(n, inputs, outputs, delta, omega)
 
 
 def _dot_string(text: str) -> str:

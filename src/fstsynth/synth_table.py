@@ -16,10 +16,10 @@ prefixes certifies every state count below its size.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .core import CheckFailed, FstError, TaskSpec, Transducer, Word, totalize, verify
+from .core import CheckFailed, FstError, TaskSpec, Transducer, Word, totalize, trajectory, verify
 from .trie import breadth_first, build_trie, subtree_classes
 
 
@@ -104,14 +104,13 @@ def search_space_size(n: int, alphabet_size: int, output_size: int) -> int:
 class _Budget:
     """Node/time accounting for the clique search; raises at a limit."""
 
-    __slots__ = ("node_budget", "start", "deadline", "nodes", "backtracks", "n")
+    __slots__ = ("node_budget", "start", "deadline", "nodes", "n")
 
     def __init__(self, cfg: SearchConfig, n: int):
         self.node_budget = cfg.node_budget
         self.start = time.monotonic()
         self.deadline = self.start + cfg.time_budget if cfg.time_budget is not None else None
         self.nodes = 0
-        self.backtracks = 0
         self.n = n
 
     def tick(self):
@@ -124,7 +123,8 @@ class _Budget:
                 raise BudgetExhausted("time", self.n, self.stats())
 
     def stats(self) -> SearchStats:
-        return SearchStats(self.nodes, self.backtracks, time.monotonic() - self.start)
+        # the clique search withdraws no choice, so it counts no backtrack
+        return SearchStats(self.nodes, 0, time.monotonic() - self.start)
 
 
 def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
@@ -134,39 +134,40 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
     outcome only after exhausting the symmetry-reduced space.
 
     The depth-first search keeps its open choices on an explicit stack: a
-    transition cell as (row, symbol, word index, position, hi, candidate,
-    cap), an output binding as (state,). A node is counted per candidate,
-    per output binding and per word that ends on a matching output; a
-    backtrack each time a candidate or a binding is withdrawn. A word
-    resumes where it leaves the prefix tree walked by earlier words, from
-    the state recorded at that tree node: the cells on the way there stay
-    bound while the word is open, and walking bound cells counts no node
-    and cannot raise hi, the highest state in use.
+    transition cell as (row, symbol, step, hi, candidate, cap), an output
+    binding as (state,). The steps come from the prefix trie `build_trie`
+    builds: per word in task order, the trie edges no earlier word walked
+    as (parent node, symbol, child node), then the word's end as (its
+    node, -1, its output). Within a word each step leaves the node the
+    step before reached; a word's first step leaves the state recorded at
+    its parent node, which stays valid while the word is open: the cells
+    on the way there stay bound, and walking bound cells counts no node
+    and cannot raise hi, the highest state in use. A node is counted per
+    candidate, per output binding and per word end with a matching output;
+    a backtrack each time a candidate or a binding is withdrawn.
     """
     if n < 1:
         raise FstError("n must be >= 1")
-    alphabet = task.input_alphabet
-    k = len(alphabet)
-    sym_index = {s: i for i, s in enumerate(alphabet)}
-    words = [tuple(sym_index[s] for s in w) for w, _ in task.pairs]
-    outs = [out for _, out in task.pairs]
-    # prefix-tree node ids along each word, and the position where it leaves
-    # the part of the tree earlier words walked; a sentinel follows the last
-    tree: dict[tuple[int, int], int] = {}  # (node, symbol) -> child; root 0
-    paths, starts = [], []
-    for word in words:
-        known = len(tree)
-        node, path = 0, [0]
-        for a in word:
-            node = tree.setdefault((node, a), len(tree) + 1)
-            path.append(node)
-        paths.append(path)
-        starts.append(len(word) - (len(tree) - known))  # the new nodes come last
-    paths.append([0])
-    starts.append(0)
-    state_at = [0] * (len(tree) + 1)
+    trie = build_trie(task)
+    idx = trie.symbol_index
+    parent: list[int] = []
+    symbol: list[int] = []
+    child: list = []  # a node, or the output at a word's end
+    seen = [True] + [False] * (trie.n_states - 1)
+    for word, out in task.pairs:
+        states = trajectory(trie, word)
+        for p, s, c in zip(states, word, states[1:]):
+            if not seen[c]:
+                seen[c] = True
+                parent.append(p)
+                symbol.append(idx[s])
+                child.append(c)
+        parent.append(states[-1])
+        symbol.append(-1)
+        child.append(out)
+    state_at = [0] * trie.n_states
 
-    delta: list[list[Optional[int]]] = [[None] * k for _ in range(n)]
+    delta: list[list[Optional[int]]] = [[None] * len(idx) for _ in range(n)]
     omega: list[Optional[str]] = [None] * n
     start = time.monotonic()
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
@@ -174,8 +175,8 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
     next_check = min(node_limit + 1, 4096)
     nodes = backtracks = 0
     stack: list[tuple] = []
-    pi = pos = q = hi = 0
-    last = len(words)
+    e = q = hi = 0
+    last = len(symbol)
     sat = False
     while True:
         nodes += 1
@@ -185,33 +186,31 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
             if deadline is not None and time.monotonic() > deadline:
                 raise BudgetExhausted("time", n, SearchStats(nodes, backtracks, time.monotonic() - start))
             next_check = min(node_limit + 1, nodes + 4096)
-        if pi == last:
+        if e == last:
             sat = True
             break
-        word, path = words[pi], paths[pi]
-        end = len(word)
-        while pos < end:  # walk the bound cells
-            nxt = delta[q][word[pos]]
+        a = symbol[e]
+        while a >= 0:  # walk the bound cells; a word's end step stops it
+            nxt = delta[q][a]
             if nxt is None:
                 break
-            q = nxt
-            pos += 1
-            state_at[path[pos]] = q
-        if pos < end:  # an unbound cell: try candidate 0 first
-            row, a = delta[q], word[pos]
+            q = state_at[child[e]] = nxt
+            e += 1
+            a = symbol[e]
+        if a >= 0:  # an unbound cell: try candidate 0 first
+            row = delta[q]
             row[a] = 0
-            stack.append((row, a, pi, pos, hi, 0, min(hi + 1, n - 1)))
-            pos += 1
-            q = state_at[path[pos]] = 0
+            stack.append((row, a, e, hi, 0, min(hi + 1, n - 1)))
+            q = state_at[child[e]] = 0
+            e += 1
             continue
         have = omega[q]
-        if have is None or have == outs[pi]:  # on to the next word
+        if have is None or have == child[e]:  # on to the next word
             if have is None:
-                omega[q] = outs[pi]
+                omega[q] = child[e]
                 stack.append((q,))
-            pi += 1
-            pos = starts[pi]
-            q = state_at[paths[pi][pos]]
+            e += 1
+            q = state_at[parent[e]] if e < last else 0
             continue
         # a dead end: withdraw choices until one has a candidate left
         while stack:
@@ -219,15 +218,15 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
             backtracks += 1
             if len(frame) == 1:
                 omega[frame[0]] = None
-            elif frame[5] < frame[6]:
-                row, a, pi, pos, hi, cand, cap = frame
+            elif frame[4] < frame[5]:
+                row, a, e, hi, cand, cap = frame
                 cand += 1
                 row[a] = cand
-                stack.append((row, a, pi, pos, hi, cand, cap))
+                stack.append((row, a, e, hi, cand, cap))
                 if cand > hi:
                     hi = cand
-                pos += 1
-                q = state_at[paths[pi][pos]] = cand
+                q = state_at[child[e]] = cand
+                e += 1
                 break
             else:
                 frame[0][frame[1]] = None
@@ -236,14 +235,7 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
     stats = SearchStats(nodes, backtracks, time.monotonic() - start)
     if not sat:
         return SearchOutcome(n=n, witness=None, stats=stats)
-    partial = Transducer(
-        n,
-        alphabet,
-        task.output_alphabet,
-        tuple(tuple(row) for row in delta),
-        tuple(omega),
-    )
-    witness = totalize(partial)
+    witness = totalize(Transducer(n, task.input_alphabet, task.output_alphabet, delta, omega))
     if not verify(witness, task).ok:
         raise CheckFailed("search produced a non-verifying witness")
     return SearchOutcome(n=n, witness=witness, stats=stats)

@@ -172,7 +172,8 @@ def parse_task(text: str) -> TaskSpec:
 
 def write_task(task: TaskSpec) -> str:
     """Serialize to IOPAIRS/1; parse(write(task)) == task. Raises FstError
-    for a word starting with "#" or "@", which would not read back."""
+    for a word starting with "#" or "@", or a tokens-mode word symbol
+    containing ",", which would not read back."""
     chars_ok = all(len(s) == 1 for s in task.input_alphabet)
     lines = []
     if not chars_ok:
@@ -180,6 +181,9 @@ def write_task(task: TaskSpec) -> str:
     lines.append("@inputs " + " ".join(task.input_alphabet))
     lines.append("@outputs " + " ".join(task.output_alphabet))
     for word, out in task.pairs:
+        for sym in () if chars_ok else word:
+            if "," in sym:  # would read back as two or more symbols
+                raise FstError(f"symbol {sym!r} cannot be written: tokens are split at ','")
         text = "".join(word) if chars_ok else ",".join(word)
         if text[0] in "#@":  # would read back as a comment or a directive
             raise FstError(f"word {text!r} cannot be written: it starts with {text[0]!r}")

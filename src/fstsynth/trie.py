@@ -33,13 +33,7 @@ def build_trie(task: TaskSpec) -> Transducer:
                 delta[q][a] = len(delta) - 1
             q = delta[q][a]
         omega[q] = out  # TaskSpec rules out conflicting assignments
-    return Transducer(
-        len(delta),
-        task.input_alphabet,
-        task.output_alphabet,
-        tuple(tuple(row) for row in delta),
-        tuple(omega),
-    )
+    return Transducer(len(delta), task.input_alphabet, task.output_alphabet, delta, omega)
 
 
 def subtree_classes(t: Transducer) -> tuple[list[int], list[tuple]]:
@@ -105,13 +99,7 @@ def minimize(t: Transducer, task: TaskSpec) -> Transducer:
         i = image[q]
         if t.omega[q] != omega[i] or [None if s is None else image[s] for s in row] != delta[i]:
             raise CheckFailed(f"state {q} does not agree with its class {i}")
-    result = Transducer(
-        len(classes),
-        t.input_alphabet,
-        t.output_alphabet,
-        tuple(tuple(row) for row in delta),
-        tuple(omega),
-    )
+    result = Transducer(len(classes), t.input_alphabet, t.output_alphabet, delta, omega)
     if not verify(result, task).ok:
         raise CheckFailed("the minimized transducer does not verify")
     return result

@@ -118,6 +118,16 @@ class TestSynth:
         assert captured.err == f"cannot open {dot_path}: No such file or directory\n"
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("flag", ["-o", "--dot"])
+    def test_output_under_a_regular_file(self, parity_file, tmp_path, capsys, flag):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        for out_path in (afile / "q.fst", afile / "sub" / "q.fst"):
+            assert main(["synth", str(parity_file), flag, str(out_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""  # refused before the search
+            assert captured.err == f"cannot open {out_path}: Not a directory\n"
+
     def test_directory_as_task_file(self, tmp_path, capsys):
         assert main(["synth", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"cannot open {tmp_path}: Is a directory\n"
@@ -153,6 +163,16 @@ class TestTrie:
         captured = capsys.readouterr()
         assert captured.out == ""  # refused before the trie is built
         assert captured.err == f"cannot open {out_path}: No such file or directory\n"
+
+    def test_output_under_a_regular_file(self, parity_file, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        dot_path = afile / "x.dot"
+        assert main(["trie", str(parity_file), "-o", str(tmp_path / "t.fst"), "--dot", str(dot_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before the trie is built
+        assert captured.err == f"cannot open {dot_path}: Not a directory\n"
+        assert not (tmp_path / "t.fst").exists()
 
     def test_directory_as_task_file_or_output(self, parity_file, tmp_path, capsys):
         assert main(["trie", str(tmp_path)]) == 2

@@ -61,11 +61,14 @@ class TestTaskSpec:
 
 class TestTrajectoryAndRun:
     def test_parity_trajectory(self, parity_machine):
-        assert trajectory(parity_machine, w("01")).states == (0, 0, 1)
+        assert trajectory(parity_machine, w("01")) == (0, 0, 1)
+
+    def test_trajectory_is_a_plain_tuple(self, parity_machine):
+        assert type(trajectory(parity_machine, w("011"))) is tuple
 
     def test_self_loop_length_one(self):
         t = Transducer(1, ("a",), ("r",), ((0,),), ("r",))
-        assert trajectory(t, ("a",)).states == (0, 0)
+        assert trajectory(t, ("a",)) == (0, 0)
 
     def test_undefined_transition_position(self):
         t = Transducer(
@@ -120,6 +123,22 @@ class TestPrune:
         with pytest.raises(PreconditionViolated):
             prune(parity_machine, gen_signal_locator(9, 3))
 
+    @pytest.mark.parametrize(
+        "delta, omega, word",
+        [
+            (((0, None),), ("0",), "01"),
+            (((0, 0),), (None,), "01"),
+            (((0, 0),), ("1",), "01"),
+            (((0, 0),), ("0",), "02"),
+        ],
+        ids=["undefined-transition", "undefined-output", "wrong-output", "unknown-symbol"],
+    )
+    def test_rejects_a_pair_it_does_not_reproduce(self, delta, omega, word):
+        t = Transducer(1, ("0", "1"), ("0", "1"), delta, omega)
+        task = TaskSpec(("0", "1", "2"), ("0", "1"), ((w("00"), "0"), (w(word), "0")))
+        with pytest.raises(PreconditionViolated):
+            prune(t, task)
+
     def test_single_pair_leaves_one_cell(self):
         t = Transducer(2, ("0",), ("r",), ((0,), (1,)), ("r", "r"))
         task = TaskSpec(("0",), ("r",), ((w("0"), "r"),))
@@ -136,7 +155,7 @@ class TestPrune:
         for word, _ in task.pairs:
             traj = trajectory(pruned, word)
             for i, sym in enumerate(word):
-                steps.add((traj.states[i], sym))
+                steps.add((traj[i], sym))
         assert defined_map_count(pruned)[0] == len(steps)
 
 
@@ -207,5 +226,5 @@ class TestDefinedMapCount:
 @given(total_transducers(), word_st(max_len=5))
 def test_trajectory_length_and_run_agree(t, word):
     traj = trajectory(t, word)
-    assert len(traj.states) == len(word) + 1
-    assert run(t, word) == t.omega[traj.final]
+    assert len(traj) == len(word) + 1
+    assert run(t, word) == t.omega[traj[-1]]

@@ -1,6 +1,8 @@
 """Every script under scripts/ must at least import and parse its
 arguments: `--help` exits 0. The quick ones also run."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -41,3 +43,14 @@ def test_reproduce_results(tmp_path):
     assert len(lines) == 1 + len(BENCH_ROWS)
     for slug, make_task in slugs.items():
         assert verify(parse_transducer((tmp_path / f"{slug}.fst").read_text()), make_task()).ok
+
+
+def test_benchmark_hooks_exist():
+    """Every attribute perfbench/spans.py wraps must exist, or `--trace 1`
+    loses a layer without an error."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr, _ in spans.TARGETS:
+        assert hasattr(importlib.import_module(f"fstsynth.{module}"), attr), f"fstsynth.{module}.{attr}"
+    assert callable(importlib.import_module("fstsynth.cli").ENGINES[spans.ENGINE])

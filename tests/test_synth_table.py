@@ -120,6 +120,10 @@ class TestSynthesizeAt:
         assert info.value.stats.seconds >= 0
 
 
+ENDS_INSIDE = (("0101", "x"), ("01", "y"), ("1", "z"), ("010", "x"), ("11", "y"), ("0", "z"))
+EXTENDS = (("01", "x"), ("0110", "y"), ("011", "z"), ("01101", "x"), ("1", "y"), ("10", "z"))
+
+
 class TestSearchCore:
     """The explicit-stack engine keeps the counts of the recursive search
     it replaced, level by level."""
@@ -138,6 +142,27 @@ class TestSearchCore:
     def test_pinned_counts(self, task, n, table):
         stats = synthesize_at(task, n).stats
         assert (stats.nodes, stats.backtracks) == table
+
+    @pytest.mark.parametrize(
+        "pairs, n, table, delta, omega",
+        [
+            # 01, 010 and 0 end on nodes 0101 made
+            (ENDS_INSIDE, 3, (87, 85), None, None),
+            (ENDS_INSIDE, 4, (143, 127), ((1, 1), (1, 2), (3, 2), (3, 0)), ("x", "z", "y", "x")),
+            # 0110 extends the end of 01, 01101 that of 011
+            (EXTENDS, 2, (26, 25), None, None),
+            (EXTENDS, 3, (64, 49), ((1, 1), (0, 2), (2, 0)), ("z", "y", "x")),
+        ],
+        ids=["ends-inside-3", "ends-inside-4", "extends-2", "extends-3"],
+    )
+    def test_pinned_trie_order(self, pairs, n, table, delta, omega):
+        task = TaskSpec(("0", "1"), ("x", "y", "z"), tuple((w(word), out) for word, out in pairs))
+        outcome = synthesize_at(task, n)
+        assert (outcome.stats.nodes, outcome.stats.backtracks) == table
+        if delta is None:
+            assert not outcome.sat
+        else:
+            assert (outcome.witness.delta, outcome.witness.omega) == (delta, omega)
 
     def test_no_recursion_limit(self):
         task = gen_parity(12)

@@ -135,8 +135,13 @@ class TestTaskFormat:
 
     @pytest.mark.parametrize(
         "inputs, word",
-        [(("#", "0"), ("#", "0")), (("@", "0"), ("@", "0")), (("@mode", "0"), ("@mode", "0"))],
-        ids=["comment", "directive", "tokens"],
+        [
+            (("#", "0"), ("#", "0")),
+            (("@", "0"), ("@", "0")),
+            (("@mode", "0"), ("@mode", "0")),
+            (("a,b", "0"), ("a,b", "0")),  # would read back as a, b, 0
+        ],
+        ids=["comment", "directive", "tokens", "comma"],
     )
     def test_write_refuses_what_would_not_read_back(self, inputs, word):
         task = TaskSpec(inputs, ("a", "b"), ((word, "a"), (("0",), "b")))
