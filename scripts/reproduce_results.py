@@ -17,7 +17,6 @@ from fstsynth.trie import build_trie, minimize
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--max-states", type=int, default=8)
     args = parser.parse_args()
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -25,9 +24,7 @@ def main():
     for name, make_task, *_ in BENCH_ROWS:
         task = make_task()
         slug = name.lower().replace(" ", "_").replace("-", "_")
-        n_min, witness, trail = synthesize_minimal(
-            task, SearchConfig(max_states=args.max_states)
-        )
+        n_min, witness, trail = synthesize_minimal(task, SearchConfig(max_states=8))
         pruned = prune(witness, task)
         d, o = defined_map_count(pruned)
         print(f"{name}: minimal {n_min} states, {d} delta / {o} omega maps defined")
@@ -38,7 +35,7 @@ def main():
         mini = minimize(build_trie(task), task)
         (out / f"{slug}_trie_min.dot").write_text(to_dot(mini))
 
-    rows, timings = bench_table(max_states=args.max_states)
+    rows, timings = bench_table()
     table = format_bench(rows, timings, "text")
     sys.stdout.write("\n" + table)
     (out / "comparison.csv").write_text(

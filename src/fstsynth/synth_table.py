@@ -300,8 +300,9 @@ def incompatibility_clique(task: TaskSpec, budget: Optional[_Budget] = None) -> 
     if budget is None:
         budget = _Budget(SearchConfig(), 0)
     cls, classes = subtree_classes(build_trie(task))
-    first = breadth_first(cls, classes)
-    vertex = {c: i for i, c in enumerate(first)}
+    parent = breadth_first(cls, classes)
+    order = list(parent)
+    vertex = {c: i for i, c in enumerate(order)}
     # u and v are incompatible if both have outputs that differ, or some
     # shared symbol leads to an incompatible pair of children, whose row
     # is complete because classes are numbered children first (no class
@@ -318,8 +319,15 @@ def incompatibility_clique(task: TaskSpec, budget: Optional[_Budget] = None) -> 
         adj[vertex[u]] |= row
         for v in _bits(row):
             adj[v] |= 1 << vertex[u]
-    words = list(first.values())
-    members = (tuple(task.input_alphabet[a] for a in words[v]) for v in _max_clique(adj, budget))
+    members = []
+    for v in _max_clique(adj, budget):
+        # the first shortest word to the class, spelled back from its parents
+        word, c = [], order[v]
+        while parent[c] is not None:
+            p = parent[c]
+            word.append(task.input_alphabet[classes[p][1].index(c)])
+            c = p
+        members.append(tuple(reversed(word)))
     clique = tuple(sorted(members, key=lambda w: (len(w), w)))
     check_clique(task, clique)
     return clique

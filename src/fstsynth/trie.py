@@ -64,26 +64,29 @@ def subtree_classes(t: Transducer) -> tuple[list[int], list[tuple]]:
     return cls, list(signatures)
 
 
-def breadth_first(cls: list[int], classes: list[tuple]) -> dict[int, tuple[int, ...]]:
+def breadth_first(cls: list[int], classes: list[tuple]) -> dict[int, Optional[int]]:
     """The classes reachable from the initial class cls[0], in breadth-first
     discovery order with successors taken in symbol order, each mapped to
-    the first shortest word (as symbol indices) that reaches it."""
-    words = {cls[0]: ()}
+    the class it was first reached from (None for the initial class).
+    Following these parents back, taking at each step the first symbol
+    from parent to child, spells the first shortest word to a class."""
+    parent: dict[int, Optional[int]] = {cls[0]: None}
     queue = [cls[0]]
     for c in queue:  # grows while iterated
-        for a, s in enumerate(classes[c][1]):
-            if s >= 0 and s not in words:
-                words[s] = words[c] + (a,)
+        for s in classes[c][1]:
+            if s >= 0 and s not in parent:
+                parent[s] = c
                 queue.append(s)
-    return words
+    return parent
 
 
 def minimize(t: Transducer, task: TaskSpec) -> Transducer:
     """Quotient the acyclic t by merging states with equal labelled
     subtrees: equal output and, per input symbol, equal successor classes
     (undefined successor counting as its own class). The classes come from
-    one children-first pass (Revuz, TCS 1992) and are numbered breadth
-    first from the initial class; a cycle raises PreconditionViolated."""
+    one children-first pass (Revuz, TCS 1992) and are numbered in
+    `breadth_first` order from the initial class; a cycle raises
+    PreconditionViolated."""
     if not verify(t, task).ok:
         raise PreconditionViolated("minimize requires a verifying transducer")
     cls, classes = subtree_classes(t)

@@ -189,6 +189,58 @@ class TestTrie:
         assert "trie states: 4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["synth", "trie"])
+@pytest.mark.parametrize("kind", ["name-too-long", "dangling-symlink"])
+def test_output_path_the_os_refuses(command, kind, parity_file, tmp_path, capsys):
+    if kind == "name-too-long":
+        out_path = tmp_path / ("x" * 300 + ".fst")
+    else:
+        out_path = tmp_path / "link.fst"
+        out_path.symlink_to(tmp_path / "nodir" / "x.fst")
+    assert main([command, str(parity_file), "-o", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before any work
+    assert captured.err.startswith(f"cannot open {out_path}: ")
+
+
+def test_unsat_leaves_output_paths_as_they_were(sl93_file, tmp_path, capsys):
+    existing = tmp_path / "old.fst"
+    existing.write_bytes(b"keep me\n")
+    link = tmp_path / "link.dot"
+    link.symlink_to(tmp_path / "target.dot")
+    assert main(["synth", str(sl93_file), "--max-states", "4", "-o", str(existing), "--dot", str(link)]) == 1
+    assert existing.read_bytes() == b"keep me\n"
+    assert link.is_symlink() and not (tmp_path / "target.dot").exists()
+    assert main(["synth", str(sl93_file), "--max-states", "4", "-o", str(tmp_path / "new.fst")]) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.dot", "old.fst", "sl93.io"]
+
+
+def test_symlinked_output_writes_its_target(parity_file, tmp_path, capsys):
+    link = tmp_path / "link.fst"
+    link.symlink_to(tmp_path / "target.fst")
+    assert main(["synth", str(parity_file), "-o", str(link)]) == 0
+    assert verify(parse_transducer((tmp_path / "target.fst").read_text()), gen_parity(2)).ok
+
+
+@pytest.mark.parametrize("first", ["01 a", "@inputs 0 1"])
+def test_byte_order_mark_in_a_task_file(first, tmp_path, capsys):
+    task = tmp_path / "bom.io"
+    task.write_bytes(b"\xef\xbb\xbf" + f"{first}\n01 a\n10 b\n".encode())
+    machine = tmp_path / "bom.fst"
+    assert main(["synth", str(task), "-o", str(machine)]) == 0
+    assert "\n@inputs 0 1\n" in machine.read_text()
+
+
+def test_byte_order_mark_in_a_machine_file(parity_file, tmp_path, capsys):
+    machine = tmp_path / "parity.fst"
+    assert main(["synth", str(parity_file), "-o", str(machine)]) == 0
+    capsys.readouterr()
+    marked = tmp_path / "marked.fst"
+    marked.write_bytes(b"\xef\xbb\xbf" + machine.read_bytes())
+    assert main(["run", str(marked), "10"]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
 @pytest.mark.parametrize(
     "command, taskfile",
     [("synth", "./parity"), ("synth", "data.v1/parity"), ("trie", "./parity")],
@@ -322,6 +374,21 @@ class TestGen:
 
     def test_nondivisible(self, capsys):
         assert main(["gen", "signal-locator", "9", "4"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["words", "7"], "words takes 0 parameters"),
+            (["signal-locator", "9"], "signal-locator takes 2 parameters: n k"),
+            (["parity"], "parity takes 1 parameters: length"),
+        ],
+        ids=["words", "signal-locator", "parity"],
+    )
+    def test_parameter_count(self, argv, message, capsys):
+        assert main(["gen", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestBench:
