@@ -6,7 +6,8 @@ a word), gen (write a built-in task file, one integer argument per
 parameter of its generator).
 
 synth and trie open their output paths before any work, so a path that
-cannot be written is refused (exit 2) before the search or the trie build.
+cannot be written, or that names the task file or the other output, is
+refused (exit 2) before the search or the trie build.
 
 Exit codes: 0 success, 1 unsatisfiable within limits or budget exhausted,
 2 invalid input, 3 internal error (a crash or a failed internal check; the
@@ -65,9 +66,10 @@ BENCH_ROWS = (
 )
 
 
-def _read_task(path: str) -> TaskSpec:
+def _read(path: str, parse):
+    """parse(text) of a task or FST/1 file; a byte order mark is not text."""
     with open(path, encoding="utf-8-sig") as f:
-        return tasks_mod.parse_task(f.read())
+        return parse(f.read())
 
 
 def _print_trail(task: TaskSpec, unsat_trail) -> None:
@@ -91,11 +93,20 @@ def _print_trail(task: TaskSpec, unsat_trail) -> None:
 
 def _output_paths(args) -> tuple[str, str | None]:
     """The FST/1 path, --output or by default beside the task file with its
-    extension replaced by .fst, and the --dot path or None. Each path is
+    extension replaced by .fst, and the --dot path or None. The task file
+    and the output paths must name different files. Each output path is
     opened for appending before any work, so it raises the error the later
     write would; a file the probe created (through a symlink, its target)
     is removed again, so a run that writes nothing leaves nothing."""
     paths = (args.output or os.path.splitext(args.taskfile)[0] + ".fst", args.dot)
+    seen: dict[str, str] = {}
+    for role, path in zip(("task file", "FST/1 output", "DOT output"), (args.taskfile, *paths)):
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            raise FstError(f"the {role} {path} is the {seen[real]}; each path must name its own file")
+        seen[real] = f"{role} {path}"
     for path in filter(None, paths):
         existed = os.path.exists(path)
         open(path, "a").close()
@@ -117,7 +128,7 @@ def _write_machine(t, paths: tuple[str, str | None], nil_sink: bool) -> None:
 
 
 def cmd_synth(args) -> int:
-    task = _read_task(args.taskfile)
+    task = _read(args.taskfile, tasks_mod.parse_task)
     cfg = SearchConfig(
         max_states=args.max_states, node_budget=args.budget_nodes, time_budget=args.budget_seconds
     )
@@ -150,7 +161,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_trie(args) -> int:
-    task = _read_task(args.taskfile)
+    task = _read(args.taskfile, tasks_mod.parse_task)
     paths = _output_paths(args)
     t = build_trie(task)
     print(f"trie states: {t.n_states}")
@@ -231,8 +242,7 @@ def _parse_word(raw: str, alphabet) -> tuple[str, ...]:
 
 
 def cmd_run(args) -> int:
-    with open(args.transducerfile, encoding="utf-8-sig") as f:
-        t = parse_transducer(f.read())
+    t = _read(args.transducerfile, parse_transducer)
     if not args.word:
         print("word must be non-empty", file=sys.stderr)
         return EXIT_USAGE
@@ -253,7 +263,13 @@ def cmd_gen(args) -> int:
     names = list(inspect.signature(generate).parameters)
     if len(args.params) != len(names):
         raise FstError(f"{args.family} takes {len(names)} parameters: {' '.join(names)}".rstrip(": "))
-    task = generate(*map(int, args.params))
+    values = []
+    for name, raw in zip(names, args.params):
+        try:
+            values.append(int(raw))
+        except ValueError:
+            raise FstError(f"{args.family}: {name} must be an integer, got {raw!r}") from None
+    task = generate(*values)
     text = tasks_mod.write_task(task)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 UNDEFINED_TOKEN = "-"
 
@@ -72,6 +72,23 @@ class InvalidPermutation(FstError):
 class CheckFailed(FstError):
     """An internal consistency check failed: a bug in this package, never
     a property of the input. Raised explicitly, so it survives `python -O`."""
+
+
+class FormatError(FstError):
+    """A malformed task or machine file, at line `lineno` (0: the whole file)."""
+
+    def __init__(self, lineno: int, message: str):
+        self.lineno = lineno
+        super().__init__(f"line {lineno}: {message}")
+
+
+def content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, whitespace-separated fields) of every line of a task
+    or machine file that is neither blank nor a "#" comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            yield lineno, fields
 
 
 def _check_alphabet(symbols: Sequence[str], kind: str) -> tuple[str, ...]:

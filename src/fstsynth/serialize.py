@@ -11,13 +11,9 @@ FST/1 is a diff-friendly text format with a bit-exact round trip:
 
 from __future__ import annotations
 
-from .core import UNDEFINED_TOKEN, FstError, Transducer
+from .core import UNDEFINED_TOKEN, FormatError, Transducer, content_lines
 
-
-class TransducerSyntaxError(FstError):
-    def __init__(self, lineno: int, message: str):
-        self.lineno = lineno
-        super().__init__(f"line {lineno}: {message}")
+TransducerSyntaxError = FormatError
 
 
 def serialize_transducer(t: Transducer) -> str:
@@ -40,7 +36,7 @@ def _number(lineno: int, field: str, what: str) -> int:
     try:
         return int(field)
     except ValueError:
-        raise TransducerSyntaxError(lineno, f"{what} must be a number, got {field!r}") from None
+        raise FormatError(lineno, f"{what} must be a number, got {field!r}") from None
 
 
 def parse_transducer(text: str) -> Transducer:
@@ -48,41 +44,35 @@ def parse_transducer(text: str) -> Transducer:
     inputs = None
     outputs = None
     body: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for lineno, fields in content_lines(text):
         if fields[0] in ("@states", "@initial") and len(fields) != 2:
-            raise TransducerSyntaxError(lineno, f"{fields[0]} takes one number")
+            raise FormatError(lineno, f"{fields[0]} takes one number")
         if fields[0] == "@states":
             n = _number(lineno, fields[1], "@states")
         elif fields[0] == "@initial":
             if fields[1] != "0":
-                raise TransducerSyntaxError(lineno, "initial state must be 0")
+                raise FormatError(lineno, "initial state must be 0")
         elif fields[0] == "@inputs":
             inputs = tuple(fields[1:])
         elif fields[0] == "@outputs":
             outputs = tuple(fields[1:])
         elif fields[0].startswith("@"):
-            raise TransducerSyntaxError(lineno, f"unknown directive {fields[0]}")
+            raise FormatError(lineno, f"unknown directive {fields[0]}")
         else:
             body.append((lineno, fields))
     if n is None or inputs is None or outputs is None:
-        raise TransducerSyntaxError(0, "missing @states/@inputs/@outputs header")
+        raise FormatError(0, "missing @states/@inputs/@outputs header")
     if len(body) != n:
-        raise TransducerSyntaxError(0, f"expected {n} body lines, got {len(body)}")
+        raise FormatError(0, f"expected {n} body lines, got {len(body)}")
     delta = [[None] * len(inputs) for _ in range(n)]
     omega: list[str | None] = [None] * n
     seen = set()
     for lineno, fields in body:
         if len(fields) != 2 + len(inputs):
-            raise TransducerSyntaxError(
-                lineno, f"expected state, output and {len(inputs)} successors"
-            )
+            raise FormatError(lineno, f"expected state, output and {len(inputs)} successors")
         q = _number(lineno, fields[0], "state")
         if not 0 <= q < n or q in seen:
-            raise TransducerSyntaxError(lineno, f"bad or repeated state {fields[0]}")
+            raise FormatError(lineno, f"bad or repeated state {fields[0]}")
         seen.add(q)
         omega[q] = None if fields[1] == UNDEFINED_TOKEN else fields[1]
         for a, cell in enumerate(fields[2:]):

@@ -47,7 +47,7 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_states < 1:
             raise FstError("max_states must be >= 1")
-        if any(b is not None and b < 0 for b in (self.node_budget, self.time_budget)):
+        if any(b is not None and not b >= 0 for b in (self.node_budget, self.time_budget)):
             raise FstError("budgets must be >= 0")
 
 
@@ -102,29 +102,35 @@ def search_space_size(n: int, alphabet_size: int, output_size: int) -> int:
 
 
 class _Budget:
-    """Node/time accounting for the clique search; raises at a limit."""
+    """Node and time limits of one level. `check` raises BudgetExhausted at
+    a limit and returns the node count to call it at next: one past the node
+    limit or 4096 on, as a clock read per node would dominate. The search
+    counts its own nodes; the clique search calls `tick` once per node."""
 
-    __slots__ = ("node_budget", "start", "deadline", "nodes", "n")
+    __slots__ = ("node_limit", "start", "deadline", "nodes", "next_check", "n")
 
     def __init__(self, cfg: SearchConfig, n: int):
-        self.node_budget = cfg.node_budget
+        self.node_limit = cfg.node_budget if cfg.node_budget is not None else float("inf")
         self.start = time.monotonic()
         self.deadline = self.start + cfg.time_budget if cfg.time_budget is not None else None
         self.nodes = 0
+        self.next_check = min(self.node_limit + 1, 4096)
         self.n = n
+
+    def check(self, nodes: int, backtracks: int) -> int:
+        if nodes > self.node_limit:
+            raise BudgetExhausted("nodes", self.n, self.stats(nodes, backtracks))
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExhausted("time", self.n, self.stats(nodes, backtracks))
+        return min(self.node_limit + 1, nodes + 4096)
 
     def tick(self):
         self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
-            raise BudgetExhausted("nodes", self.n, self.stats())
-        # time checks are batched; monotonic() per node would dominate
-        if self.deadline is not None and self.nodes % 4096 == 0:
-            if time.monotonic() > self.deadline:
-                raise BudgetExhausted("time", self.n, self.stats())
+        if self.nodes >= self.next_check:
+            self.next_check = self.check(self.nodes, 0)  # the clique search withdraws no choice
 
-    def stats(self) -> SearchStats:
-        # the clique search withdraws no choice, so it counts no backtrack
-        return SearchStats(self.nodes, 0, time.monotonic() - self.start)
+    def stats(self, nodes: int, backtracks: int) -> SearchStats:
+        return SearchStats(nodes, backtracks, time.monotonic() - self.start)
 
 
 def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
@@ -169,10 +175,8 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
 
     delta: list[list[Optional[int]]] = [[None] * len(idx) for _ in range(n)]
     omega: list[Optional[str]] = [None] * n
-    start = time.monotonic()
-    deadline = start + cfg.time_budget if cfg.time_budget is not None else None
-    node_limit = cfg.node_budget if cfg.node_budget is not None else float("inf")
-    next_check = min(node_limit + 1, 4096)
+    budget = _Budget(cfg, n)
+    next_check = budget.next_check
     nodes = backtracks = 0
     stack: list[tuple] = []
     e = q = hi = 0
@@ -180,12 +184,8 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
     sat = False
     while True:
         nodes += 1
-        if nodes >= next_check:  # as in _Budget.tick; the clock every 4096 nodes
-            if nodes > node_limit:
-                raise BudgetExhausted("nodes", n, SearchStats(nodes, backtracks, time.monotonic() - start))
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExhausted("time", n, SearchStats(nodes, backtracks, time.monotonic() - start))
-            next_check = min(node_limit + 1, nodes + 4096)
+        if nodes >= next_check:
+            next_check = budget.check(nodes, backtracks)
         if e == last:
             sat = True
             break
@@ -232,7 +232,7 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
                 frame[0][frame[1]] = None
         else:
             break
-    stats = SearchStats(nodes, backtracks, time.monotonic() - start)
+    stats = budget.stats(nodes, backtracks)
     if not sat:
         return SearchOutcome(n=n, witness=None, stats=stats)
     witness = totalize(Transducer(n, task.input_alphabet, task.output_alphabet, delta, omega))

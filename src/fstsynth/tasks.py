@@ -12,14 +12,11 @@ Format (UTF-8 text):
 from __future__ import annotations
 
 import itertools
+from typing import Callable
 
-from .core import FstError, TaskSpec, Word
+from .core import FormatError, FstError, TaskSpec, Word, content_lines
 
-
-class TaskSyntaxError(FstError):
-    def __init__(self, lineno: int, message: str):
-        self.lineno = lineno
-        super().__init__(f"line {lineno}: {message}")
+TaskSyntaxError = FormatError
 
 
 class NonDivisible(FstError):
@@ -27,16 +24,18 @@ class NonDivisible(FstError):
         super().__init__(f"k={k} does not divide n={n}")
 
 
-def _binary_words(length: int) -> list[Word]:
-    return [w for w in itertools.product("01", repeat=length)]
+def _binary_task(length: int, outputs: tuple[str, ...], label: Callable[[Word], str]) -> TaskSpec:
+    """All binary words of the given length in lexicographic order, each
+    paired with label(word)."""
+    if length < 1:
+        raise FstError("length must be >= 1")
+    words = itertools.product("01", repeat=length)
+    return TaskSpec(("0", "1"), outputs, tuple((w, label(w)) for w in words))
 
 
 def gen_parity(length: int) -> TaskSpec:
     """All binary words of the given length; output is the parity of 1s."""
-    if length < 1:
-        raise FstError("length must be >= 1")
-    pairs = [(w, "1" if w.count("1") % 2 else "0") for w in _binary_words(length)]
-    return TaskSpec(("0", "1"), ("0", "1"), tuple(pairs))
+    return _binary_task(length, ("0", "1"), lambda w: str(w.count("1") % 2))
 
 
 def gen_signal_locator(n: int, k: int) -> TaskSpec:
@@ -58,31 +57,18 @@ def gen_signal_locator(n: int, k: int) -> TaskSpec:
 def gen_zeroes_or_ones(length: int) -> TaskSpec:
     """All binary words of the given length; output names the majority
     symbol, or "equal" on a tie."""
-    if length < 1:
-        raise FstError("length must be >= 1")
-    pairs = []
-    for w in _binary_words(length):
+
+    def majority(w: Word) -> str:
         ones = w.count("1")
-        zeroes = length - ones
-        if zeroes > ones:
-            out = "zeros"
-        elif zeroes < ones:
-            out = "ones"
-        else:
-            out = "equal"
-        pairs.append((w, out))
-    return TaskSpec(("0", "1"), ("zeros", "equal", "ones"), tuple(pairs))
+        return "ones" if 2 * ones > length else "zeros" if 2 * ones < length else "equal"
+
+    return _binary_task(length, ("zeros", "equal", "ones"), majority)
 
 
 def gen_palindrome(length: int) -> TaskSpec:
     """All binary words of the given length; output 1 iff the word equals
     its reverse."""
-    if length < 1:
-        raise FstError("length must be >= 1")
-    pairs = [
-        (w, "1" if w == w[::-1] else "0") for w in _binary_words(length)
-    ]
-    return TaskSpec(("0", "1"), ("0", "1"), tuple(pairs))
+    return _binary_task(length, ("0", "1"), lambda w: "1" if w == w[::-1] else "0")
 
 
 _WORD_GROUPS = (
@@ -120,54 +106,39 @@ GENERATORS = {
 def parse_task(text: str) -> TaskSpec:
     """Parse an IOPAIRS/1 document into a TaskSpec."""
     mode = "chars"
-    forced_inputs: tuple[str, ...] | None = None
-    forced_outputs: tuple[str, ...] | None = None
+    forced: dict[str, tuple[str, ...]] = {}  # the @inputs and @outputs lines
     pairs: list[tuple[Word, str]] = []
-    inputs_seen: list[str] = []
-    outputs_seen: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("@"):
-            fields = line.split()
-            directive = fields[0]
+    used: dict[str, set[str]] = {"@inputs": set(), "@outputs": set()}
+    for lineno, fields in content_lines(text):
+        directive = fields[0]
+        if directive.startswith("@"):
             if directive == "@mode":
                 if len(fields) != 2 or fields[1] not in ("chars", "tokens"):
-                    raise TaskSyntaxError(lineno, "@mode must be chars or tokens")
+                    raise FormatError(lineno, "@mode must be chars or tokens")
                 if pairs:
-                    raise TaskSyntaxError(lineno, "@mode must precede pair lines")
+                    raise FormatError(lineno, "@mode must precede pair lines")
                 mode = fields[1]
-            elif directive == "@inputs":
-                forced_inputs = tuple(fields[1:])
-            elif directive == "@outputs":
-                forced_outputs = tuple(fields[1:])
+            elif directive in used:
+                forced[directive] = tuple(fields[1:])
             else:
-                raise TaskSyntaxError(lineno, f"unknown directive {directive}")
+                raise FormatError(lineno, f"unknown directive {directive}")
             continue
-        fields = line.split()
         if len(fields) != 2:
-            raise TaskSyntaxError(lineno, "expected '<word> <output>'")
+            raise FormatError(lineno, "expected '<word> <output>'")
         raw_word, out = fields
         word = tuple(raw_word) if mode == "chars" else tuple(raw_word.split(","))
         if any(not s for s in word):
-            raise TaskSyntaxError(lineno, f"empty token in word {raw_word!r}")
-        for s in word:
-            if s not in inputs_seen:
-                inputs_seen.append(s)
-        if out not in outputs_seen:
-            outputs_seen.append(out)
+            raise FormatError(lineno, f"empty token in word {raw_word!r}")
+        used["@inputs"].update(word)
+        used["@outputs"].add(out)
         pairs.append((word, out))
-
-    input_alphabet = forced_inputs if forced_inputs is not None else tuple(sorted(inputs_seen))
-    output_alphabet = forced_outputs if forced_outputs is not None else tuple(sorted(outputs_seen))
-    if forced_inputs is not None and not set(inputs_seen) <= set(forced_inputs):
-        missing = sorted(set(inputs_seen) - set(forced_inputs))
-        raise FstError(f"@inputs is missing used symbols: {missing}")
-    if forced_outputs is not None and not set(outputs_seen) <= set(forced_outputs):
-        missing = sorted(set(outputs_seen) - set(forced_outputs))
-        raise FstError(f"@outputs is missing used symbols: {missing}")
-    return TaskSpec(input_alphabet, output_alphabet, tuple(pairs))
+    alphabets = []
+    for directive, symbols in used.items():
+        alphabet = forced.get(directive, tuple(sorted(symbols)))
+        if not symbols <= set(alphabet):
+            raise FstError(f"{directive} is missing used symbols: {sorted(symbols - set(alphabet))}")
+        alphabets.append(alphabet)
+    return TaskSpec(*alphabets, tuple(pairs))
 
 
 def write_task(task: TaskSpec) -> str:

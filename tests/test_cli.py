@@ -66,6 +66,10 @@ class TestSynth:
         assert main(["synth", str(sl93_file), flag, "-1"]) == 2
         assert capsys.readouterr().err == "error: budgets must be >= 0\n"
 
+    def test_nan_budget_is_usage_error(self, sl93_file, capsys):
+        assert main(["synth", str(sl93_file), "--budget-seconds", "nan"]) == 2
+        assert capsys.readouterr().err == "error: budgets must be >= 0\n"
+
     def test_budget_reports_nodes(self, sl93_file, capsys):
         assert main(["synth", str(sl93_file), "--budget-nodes", "50"]) == 1
         err = capsys.readouterr().err
@@ -201,6 +205,45 @@ def test_output_path_the_os_refuses(command, kind, parity_file, tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""  # refused before any work
     assert captured.err.startswith(f"cannot open {out_path}: ")
+
+
+@pytest.mark.parametrize("command", ["synth", "trie"])
+@pytest.mark.parametrize("spelling", ["identical", "dot-slash", "symlink"])
+def test_output_naming_the_task_file_is_refused(command, spelling, parity_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    before = parity_file.read_bytes()
+    if spelling == "symlink":
+        (tmp_path / "link.io").symlink_to(parity_file)
+    out_path = {"identical": "parity.io", "dot-slash": "./parity.io", "symlink": "link.io"}[spelling]
+    entries = sorted(tmp_path.iterdir())
+    assert main([command, "parity.io", "-o", out_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before any work
+    assert captured.err.startswith(f"error: the FST/1 output {out_path} is the task file ")
+    assert parity_file.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == entries
+
+
+def test_default_output_of_an_fst_task_file_is_refused(tmp_path, monkeypatch, capsys):
+    # the default output replaces the extension, which is already .fst
+    monkeypatch.chdir(tmp_path)
+    task = tmp_path / "t.fst"
+    task.write_text(write_task(gen_parity(2)))
+    before = task.read_bytes()
+    assert main(["trie", "t.fst"]) == 2
+    assert capsys.readouterr().out == ""
+    assert task.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.fst"]
+
+
+@pytest.mark.parametrize("command", ["synth", "trie"])
+def test_dot_path_naming_the_output_is_refused(command, parity_file, tmp_path, capsys):
+    same = tmp_path / "same.fst"
+    assert main([command, str(parity_file), "-o", str(same), "--dot", str(same)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: the DOT output {same} is the FST/1 output {same};")
+    assert not same.exists()
 
 
 def test_unsat_leaves_output_paths_as_they_were(sl93_file, tmp_path, capsys):
@@ -385,6 +428,20 @@ class TestGen:
         ids=["words", "signal-locator", "parity"],
     )
     def test_parameter_count(self, argv, message, capsys):
+        assert main(["gen", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["parity", "x"], "parity: length must be an integer, got 'x'"),
+            (["signal-locator", "9", "3.0"], "signal-locator: k must be an integer, got '3.0'"),
+        ],
+        ids=["parity", "signal-locator"],
+    )
+    def test_parameter_not_an_integer(self, argv, message, capsys):
         assert main(["gen", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

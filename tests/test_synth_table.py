@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import sorted_pairs, tiny_tasks
-from fstsynth.core import TaskSpec, Transducer, verify
+from fstsynth.core import FstError, TaskSpec, Transducer, verify
 from fstsynth.oracle import oracle_sat
 from fstsynth.synth_table import (
     BudgetExhausted,
@@ -189,6 +189,11 @@ class TestSearchCore:
         with pytest.raises(BudgetExhausted, match="time"):
             for _ in range(4096):
                 budget.tick()
+
+    def test_nan_time_budget_is_refused(self):
+        # NaN compares false with everything, so it would set no limit
+        with pytest.raises(FstError, match="budgets must be >= 0"):
+            SearchConfig(time_budget=float("nan"))
 
 
 class TestSynthesizeMinimal:
