@@ -6,8 +6,8 @@ a word), gen (write a built-in task file, one integer argument per
 parameter of its generator).
 
 synth and trie open their output paths before any work, so a path that
-cannot be written, or that names the task file or the other output, is
-refused (exit 2) before the search or the trie build.
+cannot be written, or that is the task file or the other output under
+any name, is refused (exit 2) before the search or the trie build.
 
 Exit codes: 0 success, 1 unsatisfiable within limits or budget exhausted,
 2 invalid input, 3 internal error (a crash or a failed internal check; the
@@ -18,6 +18,7 @@ lets the exception propagate to in-process callers).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import os
 import sys
@@ -69,7 +70,10 @@ BENCH_ROWS = (
 def _read(path: str, parse):
     """parse(text) of a task or FST/1 file; a byte order mark is not text."""
     with open(path, encoding="utf-8-sig") as f:
-        return parse(f.read())
+        try:
+            return parse(f.read())
+        except UnicodeDecodeError as e:
+            raise FstError(f"cannot read {path}: {e}") from None
 
 
 def _print_trail(task: TaskSpec, unsat_trail) -> None:
@@ -93,25 +97,25 @@ def _print_trail(task: TaskSpec, unsat_trail) -> None:
 
 def _output_paths(args) -> tuple[str, str | None]:
     """The FST/1 path, --output or by default beside the task file with its
-    extension replaced by .fst, and the --dot path or None. The task file
-    and the output paths must name different files. Each output path is
-    opened for appending before any work, so it raises the error the later
-    write would; a file the probe created (through a symlink, its target)
-    is removed again, so a run that writes nothing leaves nothing."""
+    extension replaced by .fst, and the --dot path or None. Each is opened
+    for appending before any work, so it fails as the later write would,
+    and must not share its device and inode with the task file or the other
+    output; the probes stay open until compared, so no inode is reused. A
+    file a probe created is removed, so a run that writes nothing leaves none."""
     paths = (args.output or os.path.splitext(args.taskfile)[0] + ".fst", args.dot)
-    seen: dict[str, str] = {}
-    for role, path in zip(("task file", "FST/1 output", "DOT output"), (args.taskfile, *paths)):
-        if not path:
-            continue
-        real = os.path.realpath(path)
-        if real in seen:
-            raise FstError(f"the {role} {path} is the {seen[real]}; each path must name its own file")
-        seen[real] = f"{role} {path}"
-    for path in filter(None, paths):
-        existed = os.path.exists(path)
-        open(path, "a").close()
-        if not existed:
-            os.remove(os.path.realpath(path))
+    seen = [(os.stat(args.taskfile), f"task file {args.taskfile}")]
+    with contextlib.ExitStack() as probes:
+        for role, path in zip(("FST/1 output", "DOT output"), paths):
+            if not path:
+                continue
+            existed = os.path.exists(path)
+            probe = os.fstat(probes.enter_context(open(path, "a")).fileno())
+            if not existed:
+                probes.callback(os.remove, os.path.realpath(path))
+            same = next((name for st, name in seen if os.path.samestat(st, probe)), None)
+            if same:
+                raise FstError(f"the {role} {path} is the {same}; each path must name its own file")
+            seen.append((probe, f"{role} {path}"))
     return paths
 
 
@@ -337,7 +341,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except CheckFailed:
         raise
-    except (FstError, ValueError) as e:
+    except FstError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

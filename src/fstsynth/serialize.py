@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from .core import UNDEFINED_TOKEN, FormatError, Transducer, content_lines
 
-TransducerSyntaxError = FormatError
-
 
 def serialize_transducer(t: Transducer) -> str:
     lines = [

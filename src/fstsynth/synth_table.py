@@ -88,12 +88,6 @@ def variable_count(n: int, alphabet_size: int) -> int:
     return n * (alphabet_size + 1)
 
 
-def trajectory_variable_count(task: TaskSpec) -> int:
-    """Variable count of the trajectory encoding, one state per word
-    position: the summed word length."""
-    return sum(len(w) for w, _ in task.pairs)
-
-
 def search_space_size(n: int, alphabet_size: int, output_size: int) -> int:
     """Raw assignment count: n^(n*|I|) * |O|^n."""
     if min(n, alphabet_size, output_size) < 1:

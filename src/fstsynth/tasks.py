@@ -16,8 +16,6 @@ from typing import Callable
 
 from .core import FormatError, FstError, TaskSpec, Word, content_lines
 
-TaskSyntaxError = FormatError
-
 
 class NonDivisible(FstError):
     def __init__(self, n: int, k: int):

@@ -1,8 +1,9 @@
+import hashlib
 import re
 
 import pytest
 
-from fstsynth import cli
+from fstsynth import cli, synth_table
 from fstsynth.cli import entry, main
 from fstsynth.serialize import parse_transducer
 from fstsynth.core import verify
@@ -96,6 +97,26 @@ class TestSynth:
         path.write_text(write_task(gen_parity(10)))
         assert main(["synth", str(path)]) == 0
         assert "minimal states: 2" in capsys.readouterr().out
+
+    # sha256 of the FST/1 file synth writes for each bench task
+    @pytest.mark.parametrize(
+        "row, n_states, digest",
+        [
+            (0, 5, "281bc41278acb477da2e575e62fd511baab7adf2b72baebe441cd742da4f893b"),
+            (1, 6, "db5a3cd220bbc07d17e7949c7b6f90cdeb75b82d009eac1134f230dcd1aa2969"),
+            (2, 4, "8f17bc583f3bc4e101d649f3374db085888e12f727cc2b93fc17fec99b2a1e26"),
+            (3, 5, "a23e20fc72ff4e4a1fa49a630d9370552e743b56942c274a8a4bc77b95c4ee3d"),
+            (4, 3, "641b6b08ba4ed39ca09a28248bf61164e6793252dcf2e1c1a89267363db15b1f"),
+        ],
+        ids=["sl9-3", "sl8-4", "zo4", "pal4", "words"],
+    )
+    def test_pinned_bench_files(self, row, n_states, digest, tmp_path, capsys):
+        task_path = tmp_path / "task.io"
+        task_path.write_text(write_task(cli.BENCH_ROWS[row][1]()))
+        out_path = tmp_path / "task.fst"
+        assert main(["synth", str(task_path), "-o", str(out_path)]) == 0
+        assert f"minimal states: {n_states}\n" in capsys.readouterr().out
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
     def test_dot_output(self, parity_file, tmp_path):
         dot_path = tmp_path / "parity.dot"
@@ -224,6 +245,40 @@ def test_output_naming_the_task_file_is_refused(command, spelling, parity_file, 
     assert sorted(tmp_path.iterdir()) == entries
 
 
+@pytest.mark.parametrize(
+    "command, flag", [("synth", "-o"), ("synth", "--dot"), ("trie", "-o")], ids=["synth-o", "synth-dot", "trie-o"]
+)
+def test_hard_link_of_the_task_file_is_refused(command, flag, parity_file, tmp_path, capsys):
+    before = parity_file.read_bytes()
+    hard = tmp_path / "hard.io"
+    hard.hardlink_to(parity_file)
+    entries = sorted(tmp_path.iterdir())
+    assert main([command, str(parity_file), flag, str(hard)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before any work
+    role = "DOT" if flag == "--dot" else "FST/1"
+    assert captured.err.startswith(f"error: the {role} output {hard} is the task file {parity_file};")
+    assert parity_file.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == entries
+
+
+@pytest.mark.parametrize("command", ["synth", "trie"])
+def test_dot_path_hard_linked_to_the_output_is_refused(command, parity_file, tmp_path, capsys):
+    existing = tmp_path / "old.fst"
+    existing.write_bytes(b"keep me\n")
+    hard = tmp_path / "hard.dot"
+    hard.hardlink_to(existing)
+    before = parity_file.read_bytes()
+    entries = sorted(tmp_path.iterdir())
+    assert main([command, str(parity_file), "-o", str(existing), "--dot", str(hard)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: the DOT output {hard} is the FST/1 output {existing};")
+    assert existing.read_bytes() == b"keep me\n"
+    assert parity_file.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == entries
+
+
 def test_default_output_of_an_fst_task_file_is_refused(tmp_path, monkeypatch, capsys):
     # the default output replaces the extension, which is already .fst
     monkeypatch.chdir(tmp_path)
@@ -282,6 +337,16 @@ def test_byte_order_mark_in_a_machine_file(parity_file, tmp_path, capsys):
     marked.write_bytes(b"\xef\xbb\xbf" + machine.read_bytes())
     assert main(["run", str(marked), "10"]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+def test_task_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.io"
+    bad.write_bytes(b"\xff\xfe0\x00 \x00a\x00\n\x00")
+    assert main(["synth", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.io"]
 
 
 @pytest.mark.parametrize(
@@ -359,6 +424,14 @@ class TestRun:
         assert main(["run", str(machine), "foo,bar"]) == 0
         assert capsys.readouterr().out == "x\n"
 
+    def test_machine_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.fst"
+        path.write_bytes("@states 1\n@inputs 0\n@outputs \xe9\n0 \xe9 0\n".encode("latin-1"))
+        assert main(["run", str(path), "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9 ")
+
     def test_non_numeric_successor(self, tmp_path, capsys):
         path = tmp_path / "bad.fst"
         path.write_text("@states 1\n@inputs 0\n@outputs a\n0 a y\n")
@@ -391,6 +464,17 @@ class TestEntry:
         with pytest.raises(OSError):
             main(["gen", "parity", "2"])
         assert entry(["gen", "parity", "2"]) == 3
+
+    def test_value_error_is_internal(self, parity_file, monkeypatch, capsys):
+        # only FstError and OSError with a file name are invalid input
+        def broken(task):
+            raise ValueError("broken bound")
+
+        monkeypatch.setattr(synth_table, "lower_bound", broken)
+        with pytest.raises(ValueError):
+            main(["synth", str(parity_file)])
+        assert entry(["synth", str(parity_file)]) == 3
+        assert capsys.readouterr().err == "internal error: ValueError: broken bound\n"
 
     def test_entry_passes_exit_codes(self, parity_file, tmp_path):
         assert entry(["synth", str(parity_file), "-o", str(tmp_path / "p.fst")]) == 0

@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given
 
 from conftest import total_transducers
-from fstsynth.core import Transducer, prune
+from fstsynth.core import FormatError, Transducer, prune
 from fstsynth.serialize import (
-    TransducerSyntaxError,
     parse_transducer,
     serialize_transducer,
     to_dot,
@@ -28,20 +27,20 @@ def test_roundtrip_random(t):
 
 
 def test_missing_header():
-    with pytest.raises(TransducerSyntaxError):
+    with pytest.raises(FormatError):
         parse_transducer("@states 1\n0 a 0\n")
 
 
 @pytest.mark.parametrize("directive", ["@states", "@initial"])
 def test_bare_directive(directive):
     text = f"{directive}\n@states 1\n@inputs 0\n@outputs a\n0 a 0\n"
-    with pytest.raises(TransducerSyntaxError, match="line 1"):
+    with pytest.raises(FormatError, match="line 1"):
         parse_transducer(text)
 
 
 def test_wrong_body_arity():
     text = "@states 1\n@inputs 0 1\n@outputs a\n0 a 0\n"
-    with pytest.raises(TransducerSyntaxError):
+    with pytest.raises(FormatError):
         parse_transducer(text)
 
 
@@ -55,14 +54,14 @@ def test_wrong_body_arity():
     ids=["states", "state", "successor"],
 )
 def test_non_numeric_field(text, line):
-    with pytest.raises(TransducerSyntaxError, match=f"line {line}: .* must be a number") as info:
+    with pytest.raises(FormatError, match=f"line {line}: .* must be a number") as info:
         parse_transducer(text)
     assert info.value.lineno == line
 
 
 def test_nonzero_initial_rejected():
     text = "@states 1\n@initial 1\n@inputs 0\n@outputs a\n0 a 0\n"
-    with pytest.raises(TransducerSyntaxError):
+    with pytest.raises(FormatError):
         parse_transducer(text)
 
 

@@ -15,7 +15,6 @@ from fstsynth.synth_table import (
     search_space_size,
     synthesize_at,
     synthesize_minimal,
-    trajectory_variable_count,
     variable_count,
 )
 from fstsynth.tasks import (
@@ -45,11 +44,6 @@ class TestBounds:
         assert variable_count(5, 2) == 15
         assert variable_count(1, 1) == 2
         assert variable_count(3, 17) == 54
-
-    def test_trajectory_variable_count(self):
-        assert trajectory_variable_count(gen_parity(2)) == 8
-        assert trajectory_variable_count(gen_signal_locator(9, 3)) == 81
-        assert trajectory_variable_count(gen_palindrome(5)) == 160
 
     def test_search_space_size(self):
         assert search_space_size(5, 2, 3) == 5**10 * 3**5

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import tiny_tasks
-from fstsynth.core import ContradictoryPair, FstError, TaskSpec
+from fstsynth.core import ContradictoryPair, FormatError, FstError, TaskSpec
 from fstsynth.tasks import (
     NonDivisible,
-    TaskSyntaxError,
     gen_palindrome,
     gen_parity,
     gen_signal_locator,
@@ -107,11 +106,11 @@ class TestTaskFormat:
             parse_task("@inputs 0\n01 a\n")
 
     def test_bad_directive(self):
-        with pytest.raises(TaskSyntaxError):
+        with pytest.raises(FormatError):
             parse_task("@bogus x\n0 a\n")
 
     def test_bad_pair_line(self):
-        with pytest.raises(TaskSyntaxError) as e:
+        with pytest.raises(FormatError) as e:
             parse_task("0 a\nnot a pair line\n")
         assert e.value.lineno == 2
 
