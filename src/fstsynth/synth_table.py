@@ -1,16 +1,12 @@
 """Exact minimal-transducer synthesis over transition-table variables.
 
-One decision per transition-table cell; outputs are bound as constraints the
-first time a word ends in a state. Search is chronological backtracking
-driven by word simulation, with interchangeable-state symmetry breaking:
-when branching on an unassigned cell, candidate successors are limited to
-the states already in use plus one fresh state. Every solution has a
-canonical representative under 0-fixing relabeling, so an exhausted search
-is a valid unsatisfiability certificate.
-
-Some levels need no search: prefixes that pairwise reach different outputs
-under a common suffix must all reach distinct states, so a clique of such
-prefixes certifies every state count below its size.
+The search places the nodes of the prefix trie on states, binding one
+transition cell per decision, fail-first. Every placement is checked
+against the prefixes already on its state: two prefixes that a common
+suffix completes to different outputs never share one (Heule & Verwer,
+ICGI 2010). Candidate states are those in use plus one fresh state, so an
+exhausted search is a valid unsatisfiability certificate, and a clique of
+such prefixes certifies every state count below its size with no search.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import CheckFailed, FstError, TaskSpec, Transducer, Word, totalize, trajectory, verify
+from .core import CheckFailed, FstError, TaskSpec, Transducer, Word, totalize, verify
 from .trie import breadth_first, build_trie, subtree_classes
 
 
@@ -133,102 +129,116 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
     Returns a SAT outcome with a total, verified witness, or an UNSAT
     outcome only after exhausting the symmetry-reduced space.
 
-    The depth-first search keeps its open choices on an explicit stack: a
-    transition cell as (row, symbol, step, hi, candidate, cap), an output
-    binding as (state,). The steps come from the prefix trie `build_trie`
-    builds: per word in task order, the trie edges no earlier word walked
-    as (parent node, symbol, child node), then the word's end as (its
-    node, -1, its output). Within a word each step leaves the node the
-    step before reached; a word's first step leaves the state recorded at
-    its parent node, which stays valid while the word is open: the cells
-    on the way there stay bound, and walking bound cells counts no node
-    and cannot raise hi, the highest state in use. A node is counted per
-    candidate, per output binding and per word end with a matching output;
-    a backtrack each time a candidate or a binding is withdrawn.
+    The root of the trie `build_trie` builds sits on state 0; every other
+    node waits on the cell (its parent's state, its symbol), and binding
+    that cell places all its waiting nodes, each walking on through bound
+    cells. A state keeps the mask of keys its nodes exclude: outputs at the
+    output-count level, classes of `incompatibility_table` above it. Each
+    decision binds the open cell with the fewest admissible states, ties to
+    the smallest waiting node, so no choice depends on state names. Choices
+    sit on an explicit stack, undone from a trail. A node is counted per
+    candidate tried, a backtrack per candidate withdrawn.
     """
     if n < 1:
         raise FstError("n must be >= 1")
     trie = build_trie(task)
-    idx = trie.symbol_index
-    parent: list[int] = []
-    symbol: list[int] = []
-    child: list = []  # a node, or the output at a word's end
-    seen = [True] + [False] * (trie.n_states - 1)
-    for word, out in task.pairs:
-        states = trajectory(trie, word)
-        for p, s, c in zip(states, word, states[1:]):
-            if not seen[c]:
-                seen[c] = True
-                parent.append(p)
-                symbol.append(idx[s])
-                child.append(c)
-        parent.append(states[-1])
-        symbol.append(-1)
-        child.append(out)
-    state_at = [0] * trie.n_states
+    kids = trie.delta
+    if n == lower_bound(task):
+        outputs = {o: i for i, o in enumerate(task.output_alphabet, start=1)}
+        key = [outputs.get(o, 0) for o in trie.omega]  # 0: no output, excludes nothing
+        everything = (1 << len(outputs) + 1) - 2
+        adj = [0] + [everything ^ 1 << i for i in outputs.values()]
+    else:
+        key, classes = subtree_classes(trie)
+        adj = incompatibility_table(classes, _Budget(SearchConfig(), n))  # not search nodes
+    bit = [1 << c for c in key]
+    excludes = [adj[c] for c in key]
+    # the trail keeps a placement only where it excludes keys or sets an output
+    kept = [bool(x) or o is not None for x, o in zip(excludes, trie.omega)]
+    delta: list[list[Optional[int]]] = [[None] * len(kids[0]) for _ in range(n)]
+    # per cell, its waiting nodes as (node, mask of their keys, smallest node)
+    waiting: list[list[list[tuple]]] = [[[] for _ in kids[0]] for _ in range(n)]
+    excluded = [0] * n
+    trail: list = []  # (node, state, excluded before) or a waiting list appended to
+    push = trail.append
 
-    delta: list[list[Optional[int]]] = [[None] * len(idx) for _ in range(n)]
-    omega: list[Optional[str]] = [None] * n
+    def place(walk: list[tuple[int, int]]) -> bool:
+        while walk:
+            u, q = walk.pop()
+            while u >= 0:  # on down the first bound child without the stack
+                ex = excluded[q]
+                if ex & bit[u]:
+                    return False
+                if kept[u]:
+                    push((u, q, ex))
+                    excluded[q] = ex | excludes[u]
+                row = delta[q]
+                v = r = -1
+                for a, c in enumerate(kids[u]):
+                    if c is None:
+                        continue
+                    t = row[a]
+                    if t is None:
+                        cell = waiting[q][a]
+                        _, mask, first = cell[-1] if cell else (c, 0, c)
+                        cell.append((c, mask | bit[c], c if c < first else first))
+                        push(cell)
+                    elif v < 0:
+                        v, r = c, t
+                    else:
+                        walk.append((c, t))
+                u, q = v, r
+        return True
+
+    place([(0, 0)])
     budget = _Budget(cfg, n)
     next_check = budget.next_check
-    nodes = backtracks = 0
-    stack: list[tuple] = []
-    e = q = hi = 0
-    last = len(symbol)
-    sat = False
+    nodes = backtracks = hi = 0
+    frames: list[list] = []  # [state, symbol, candidates, next index, trail mark, hi]
     while True:
-        nodes += 1
-        if nodes >= next_check:
-            next_check = budget.check(nodes, backtracks)
-        if e == last:
-            sat = True
+        best = None  # (admissible count, first waiting node, state, symbol, mask)
+        top = min(hi + 2, n)
+        for s in range(hi + 1):
+            for a, cell in enumerate(waiting[s]):
+                if cell and delta[s][a] is None:
+                    _, mask, first = cell[-1]
+                    count = sum(not ex & mask for ex in excluded[:top])
+                    if best is None or (count, first) < best[:2]:
+                        best = (count, first, s, a, mask)
+        if best is None:
             break
-        a = symbol[e]
-        while a >= 0:  # walk the bound cells; a word's end step stops it
-            nxt = delta[q][a]
-            if nxt is None:
+        _, _, s, a, mask = best
+        frames.append([s, a, [t for t in range(top) if not excluded[t] & mask], 0, len(trail), hi])
+        while frames:
+            frame = frames[-1]
+            s, a, candidates, i, mark, hi = frame
+            for _ in range(len(trail) - mark):
+                entry = trail.pop()
+                if type(entry) is list:
+                    entry.pop()
+                else:
+                    excluded[entry[1]] = entry[2]
+            delta[s][a] = None
+            backtracks += i > 0  # the candidate tried last is withdrawn
+            if i == len(candidates):
+                frames.pop()
+                continue
+            frame[3] = i + 1
+            nodes += 1
+            if nodes >= next_check:
+                next_check = budget.check(nodes, backtracks)
+            t = candidates[i]
+            hi = max(hi, t)
+            delta[s][a] = t
+            if place([(c, t) for c, _, _ in waiting[s][a]]):
                 break
-            q = state_at[child[e]] = nxt
-            e += 1
-            a = symbol[e]
-        if a >= 0:  # an unbound cell: try candidate 0 first
-            row = delta[q]
-            row[a] = 0
-            stack.append((row, a, e, hi, 0, min(hi + 1, n - 1)))
-            q = state_at[child[e]] = 0
-            e += 1
-            continue
-        have = omega[q]
-        if have is None or have == child[e]:  # on to the next word
-            if have is None:
-                omega[q] = child[e]
-                stack.append((q,))
-            e += 1
-            q = state_at[parent[e]] if e < last else 0
-            continue
-        # a dead end: withdraw choices until one has a candidate left
-        while stack:
-            frame = stack.pop()
-            backtracks += 1
-            if len(frame) == 1:
-                omega[frame[0]] = None
-            elif frame[4] < frame[5]:
-                row, a, e, hi, cand, cap = frame
-                cand += 1
-                row[a] = cand
-                stack.append((row, a, e, hi, cand, cap))
-                if cand > hi:
-                    hi = cand
-                q = state_at[child[e]] = cand
-                e += 1
-                break
-            else:
-                frame[0][frame[1]] = None
         else:
-            break
+            return SearchOutcome(n=n, witness=None, stats=budget.stats(nodes, backtracks))
     stats = budget.stats(nodes, backtracks)
-    if not sat:
-        return SearchOutcome(n=n, witness=None, stats=stats)
+    omega: list[Optional[str]] = [None] * n
+    for entry in trail:
+        if type(entry) is tuple and trie.omega[entry[0]] is not None:
+            omega[entry[1]] = trie.omega[entry[0]]
     witness = totalize(Transducer(n, task.input_alphabet, task.output_alphabet, delta, omega))
     if not verify(witness, task).ok:
         raise CheckFailed("search produced a non-verifying witness")
@@ -280,6 +290,28 @@ def check_clique(task: TaskSpec, clique: tuple[Word, ...]) -> None:
                 raise CheckFailed(f"clique prefixes {p!r} and {r!r} are compatible")
 
 
+def incompatibility_table(classes: list[tuple], budget: _Budget) -> list[int]:
+    """The incompatibility relation over the classes of `trie.subtree_classes`
+    as bitset rows: classes u and v are incompatible if both have outputs
+    that differ, or some shared symbol leads to an incompatible pair of
+    children, whose row is complete because classes are numbered children
+    first (no class is incompatible with itself). Each pair test ticks
+    `budget`."""
+    adj = [0] * len(classes)
+    for u, (ou, su) in enumerate(classes):
+        row = 0
+        for v, (ov, sv) in enumerate(classes[:u]):
+            budget.tick()
+            if (ou is not None and ov is not None and ou != ov) or any(
+                cu >= 0 and cv >= 0 and adj[cu] >> cv & 1 for cu, cv in zip(su, sv)
+            ):
+                row |= 1 << v
+        adj[u] = row
+        for v in _bits(row):
+            adj[v] |= 1 << u
+    return adj
+
+
 def incompatibility_clique(task: TaskSpec, budget: Optional[_Budget] = None) -> tuple[Word, ...]:
     """A largest set of pairwise-incompatible prefixes of the task words,
     one shortest prefix per member. Two prefixes are incompatible when some
@@ -287,32 +319,18 @@ def incompatibility_clique(task: TaskSpec, budget: Optional[_Budget] = None) -> 
     realization must send them to distinct states, so no machine has fewer
     states than the clique has members (Heule & Verwer, ICGI 2010).
 
-    The graph has one vertex per class of the prefix trie's subtree
-    table, numbered as `trie.minimize` numbers its states: prefixes in one
+    The graph is `incompatibility_table` over the classes of the prefix
+    trie, renumbered as `trie.minimize` numbers its states: prefixes in one
     class share their suffix function, so the largest clique is the same.
     Pair tests and branch-and-bound nodes tick `budget`."""
     if budget is None:
         budget = _Budget(SearchConfig(), 0)
     cls, classes = subtree_classes(build_trie(task))
+    table = incompatibility_table(classes, budget)
     parent = breadth_first(cls, classes)
     order = list(parent)
     vertex = {c: i for i, c in enumerate(order)}
-    # u and v are incompatible if both have outputs that differ, or some
-    # shared symbol leads to an incompatible pair of children, whose row
-    # is complete because classes are numbered children first (no class
-    # is incompatible with itself)
-    adj = [0] * len(classes)
-    for u, (ou, su) in enumerate(classes):
-        row = 0
-        for v, (ov, sv) in enumerate(classes[:u]):
-            budget.tick()
-            if (ou is not None and ov is not None and ou != ov) or any(
-                cu >= 0 and cv >= 0 and adj[vertex[cu]] >> vertex[cv] & 1 for cu, cv in zip(su, sv)
-            ):
-                row |= 1 << vertex[v]
-        adj[vertex[u]] |= row
-        for v in _bits(row):
-            adj[v] |= 1 << vertex[u]
+    adj = [sum(1 << vertex[d] for d in _bits(table[c])) for c in order]
     members = []
     for v in _max_clique(adj, budget):
         # the first shortest word to the class, spelled back from its parents

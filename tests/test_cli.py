@@ -84,7 +84,7 @@ class TestSynth:
         out = capsys.readouterr().out
         assert "minimal states: 6" in out
         assert "lower bound: 6 (prefix clique; output count 3)" in out
-        assert re.search(r"UNSAT at 3 states \(2407 nodes, ", out)
+        assert re.search(r"UNSAT at 3 states \(71 nodes, ", out)
         assert "UNSAT at 4 states (clique of 6 prefixes)" in out
         assert "UNSAT at 5 states (clique of 6 prefixes)" in out
 
@@ -103,7 +103,7 @@ class TestSynth:
         "row, n_states, digest",
         [
             (0, 5, "281bc41278acb477da2e575e62fd511baab7adf2b72baebe441cd742da4f893b"),
-            (1, 6, "db5a3cd220bbc07d17e7949c7b6f90cdeb75b82d009eac1134f230dcd1aa2969"),
+            (1, 6, "7b861f222b1f3fa340e351df23ec04ec167a91064e4c00c8bc6e30b6b3a96717"),
             (2, 4, "8f17bc583f3bc4e101d649f3374db085888e12f727cc2b93fc17fec99b2a1e26"),
             (3, 5, "a23e20fc72ff4e4a1fa49a630d9370552e743b56942c274a8a4bc77b95c4ee3d"),
             (4, 3, "641b6b08ba4ed39ca09a28248bf61164e6793252dcf2e1c1a89267363db15b1f"),

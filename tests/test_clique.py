@@ -22,6 +22,7 @@ from fstsynth.synth_table import (
 )
 from fstsynth.tasks import (
     gen_palindrome,
+    gen_parity,
     gen_signal_locator,
     gen_zeroes_or_ones,
     word_classification,
@@ -99,6 +100,18 @@ def test_clique_only_after_the_output_bound_fails(monkeypatch):
     assert n_min == 3 and trail == []
 
 
+def test_output_count_level_builds_no_table(monkeypatch):
+    # the `wide` tries have thousands of classes; their answers sit at the output count
+    def no_table(*args):
+        raise AssertionError("incompatibility table built at the output-count level")
+
+    monkeypatch.setattr(synth_table, "incompatibility_table", no_table)
+    for task in (gen_zeroes_or_ones(8), gen_palindrome(5), gen_parity(10), word_classification()):
+        synthesize_at(task, lower_bound(task))
+    with pytest.raises(AssertionError, match="incompatibility table"):
+        synthesize_at(gen_palindrome(5), lower_bound(gen_palindrome(5)) + 1)
+
+
 def test_certified_levels_agree_with_the_search():
     task = gen_palindrome(4)
     _, _, trail = synthesize_minimal(task)
@@ -109,7 +122,7 @@ def test_certified_levels_agree_with_the_search():
 
 
 def test_clique_budget_is_reported_as_budget():
-    task = gen_palindrome(6)  # n=2 takes 34 nodes, the clique several hundred ticks
+    task = gen_palindrome(6)  # n=2 takes 8 nodes, the clique several hundred ticks
     with pytest.raises(BudgetExhausted) as info:
         synthesize_minimal(task, SearchConfig(node_budget=100))
     assert info.value.n == 3 and info.value.stats.nodes == 101

@@ -119,17 +119,17 @@ EXTENDS = (("01", "x"), ("0110", "y"), ("011", "z"), ("01101", "x"), ("1", "y"),
 
 
 class TestSearchCore:
-    """The explicit-stack engine keeps the counts of the recursive search
-    it replaced, level by level."""
+    """The fail-first, forward-checking search: its counts per level, and
+    its budget."""
 
     @pytest.mark.parametrize(
         "task, n, table",
         [
-            (gen_palindrome(4), 4, (3358, 1923)),
-            (gen_zeroes_or_ones(4), 3, (279, 208)),
-            (gen_signal_locator(8, 4), 5, (18516, 16907)),
-            (gen_signal_locator(9, 3), 5, (9394, 8078)),
-            (word_classification(), 3, (48658, 39986)),
+            (gen_palindrome(4), 4, (65, 65)),
+            (gen_zeroes_or_ones(4), 3, (35, 35)),
+            (gen_signal_locator(8, 4), 5, (1530, 1530)),
+            (gen_signal_locator(9, 3), 5, (258, 249)),
+            (word_classification(), 3, (36, 9)),
         ],
         ids=["pal4-4", "zo4-3", "sl8-4-5", "sl9-3-5", "words-3"],
     )
@@ -141,11 +141,11 @@ class TestSearchCore:
         "pairs, n, table, delta, omega",
         [
             # 01, 010 and 0 end on nodes 0101 made
-            (ENDS_INSIDE, 3, (87, 85), None, None),
-            (ENDS_INSIDE, 4, (143, 127), ((1, 1), (1, 2), (3, 2), (3, 0)), ("x", "z", "y", "x")),
+            (ENDS_INSIDE, 3, (6, 6), None, None),
+            (ENDS_INSIDE, 4, (5, 0), ((1, 1), (1, 2), (3, 2), (3, 0)), ("x", "z", "y", "x")),
             # 0110 extends the end of 01, 01101 that of 011
-            (EXTENDS, 2, (26, 25), None, None),
-            (EXTENDS, 3, (64, 49), ((1, 1), (0, 2), (2, 0)), ("z", "y", "x")),
+            (EXTENDS, 2, (1, 1), None, None),
+            (EXTENDS, 3, (12, 7), ((1, 1), (0, 2), (2, 0)), ("z", "y", "x")),
         ],
         ids=["ends-inside-3", "ends-inside-4", "extends-2", "extends-3"],
     )
@@ -167,10 +167,16 @@ class TestSearchCore:
 
     @pytest.mark.parametrize("budget", [1, 4095, 4096, 100_000])
     def test_node_budget_is_exact(self, budget):
+        # palindrome 6 at 9 states is refuted in 194,056 nodes
         with pytest.raises(BudgetExhausted) as info:
-            synthesize_at(gen_signal_locator(12, 4), 7, SearchConfig(node_budget=budget))
+            synthesize_at(gen_palindrome(6), 9, SearchConfig(node_budget=budget))
         assert info.value.kind == "nodes"
         assert info.value.stats.nodes == budget + 1
+
+    def test_signal_locator_12_4_within_100k_nodes(self):
+        task = gen_signal_locator(12, 4)
+        outcome = synthesize_at(task, 7, SearchConfig(node_budget=100_000))
+        assert outcome.sat and verify(outcome.witness, task).ok
 
     def test_zero_time_budget_stops_at_the_first_clock_check(self):
         with pytest.raises(BudgetExhausted) as info:
@@ -207,6 +213,15 @@ class TestSynthesizeMinimal:
     def test_no_solution_within(self):
         with pytest.raises(NoSolutionWithin):
             synthesize_minimal(gen_signal_locator(9, 3), SearchConfig(max_states=4))
+
+    def test_palindrome_5_is_decided_within_100k_nodes_a_level(self):
+        task = gen_palindrome(5)
+        n_min, witness, trail = synthesize_minimal(
+            task, SearchConfig(max_states=8, node_budget=100_000)
+        )
+        assert n_min == 8 and verify(witness, task).ok
+        assert [o.n for o in trail] == list(range(lower_bound(task), 8))
+        assert not any(o.sat for o in trail)
 
     def test_max_states_below_lower_bound(self):
         with pytest.raises(NoSolutionWithin):
