@@ -1,12 +1,14 @@
 """Exact minimal-transducer synthesis over transition-table variables.
 
 The search places the nodes of the prefix trie on states, binding one
-transition cell per decision, fail-first. Every placement is checked
-against the prefixes already on its state: two prefixes that a common
-suffix completes to different outputs never share one (Heule & Verwer,
-ICGI 2010). Candidate states are those in use plus one fresh state, so an
-exhausted search is a valid unsatisfiability certificate, and a clique of
-such prefixes certifies every state count below its size with no search.
+transition cell per decision: fail-first, ties to the cell that routes the
+most task words (Brélaz's degree rule, CACM 1979). Every placement is
+checked against the prefixes already on its state: two prefixes that a
+common suffix completes to different outputs never share one (Heule &
+Verwer, ICGI 2010). Candidate states are those in use plus one fresh
+state, so an exhausted search is a valid unsatisfiability certificate, and
+a clique of such prefixes certifies every state count below its size with
+no search.
 """
 
 from __future__ import annotations
@@ -95,7 +97,9 @@ class _Budget:
     """Node and time limits of one level. `check` raises BudgetExhausted at
     a limit and returns the node count to call it at next: one past the node
     limit or 4096 on, as a clock read per node would dominate. The search
-    counts its own nodes; the clique search calls `tick` once per node."""
+    counts its own nodes; the clique search calls `tick` once per node. The
+    search's table build calls `clock` once per pair test: a pair test is not
+    a search node, so only the time limit applies to it."""
 
     __slots__ = ("node_limit", "start", "deadline", "nodes", "next_check", "n")
 
@@ -119,6 +123,11 @@ class _Budget:
         if self.nodes >= self.next_check:
             self.next_check = self.check(self.nodes, 0)  # the clique search withdraws no choice
 
+    def clock(self):
+        self.nodes += 1  # the search counts its nodes apart
+        if not self.nodes % 4096:
+            self.check(0, 0)
+
     def stats(self, nodes: int, backtracks: int) -> SearchStats:
         return SearchStats(nodes, backtracks, time.monotonic() - self.start)
 
@@ -134,13 +143,19 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
     that cell places all its waiting nodes, each walking on through bound
     cells. A state keeps the mask of keys its nodes exclude: outputs at the
     output-count level, classes of `incompatibility_table` above it. Each
-    decision binds the open cell with the fewest admissible states, ties to
-    the smallest waiting node, so no choice depends on state names. Choices
-    sit on an explicit stack, undone from a trail. A node is counted per
-    candidate tried, a backtrack per candidate withdrawn.
+    decision binds the open cell with the fewest admissible states; ties go
+    to the cell whose waiting nodes carry the most task words, then to the
+    first in (state, symbol) order. Whichever cell is chosen, the states not
+    yet used are interchangeable: no cell leaves them, no node sits on them
+    and no mask names them. So trying the used states plus one fresh state
+    is complete. Choices sit on an explicit stack, undone from a trail. A
+    node is counted per candidate tried, a backtrack per candidate
+    withdrawn. The level's clock starts before the table build, so the time
+    budget and the stats cover it; its pair tests are not nodes.
     """
     if n < 1:
         raise FstError("n must be >= 1")
+    budget = _Budget(cfg, n)
     trie = build_trie(task)
     kids = trie.delta
     if n == lower_bound(task):
@@ -150,13 +165,18 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
         adj = [0] + [everything ^ 1 << i for i in outputs.values()]
     else:
         key, classes = subtree_classes(trie)
-        adj = incompatibility_table(classes, _Budget(SearchConfig(), n))  # not search nodes
+        adj = incompatibility_table(classes, budget.clock)
     bit = [1 << c for c in key]
     excludes = [adj[c] for c in key]
     # the trail keeps a placement only where it excludes keys or sets an output
     kept = [bool(x) or o is not None for x, o in zip(excludes, trie.omega)]
+    words = [o is not None for o in trie.omega]  # task words through each node
+    for u in range(len(kids) - 1, 0, -1):  # children come after their parents
+        for c in kids[u]:
+            if c is not None:
+                words[u] += words[c]
     delta: list[list[Optional[int]]] = [[None] * len(kids[0]) for _ in range(n)]
-    # per cell, its waiting nodes as (node, mask of their keys, smallest node)
+    # per cell, its waiting nodes as (node, mask of their keys, words through them)
     waiting: list[list[list[tuple]]] = [[[] for _ in kids[0]] for _ in range(n)]
     excluded = [0] * n
     trail: list = []  # (node, state, excluded before) or a waiting list appended to
@@ -180,8 +200,8 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
                     t = row[a]
                     if t is None:
                         cell = waiting[q][a]
-                        _, mask, first = cell[-1] if cell else (c, 0, c)
-                        cell.append((c, mask | bit[c], c if c < first else first))
+                        _, mask, weight = cell[-1] if cell else (c, 0, 0)
+                        cell.append((c, mask | bit[c], weight + words[c]))
                         push(cell)
                     elif v < 0:
                         v, r = c, t
@@ -191,20 +211,19 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
         return True
 
     place([(0, 0)])
-    budget = _Budget(cfg, n)
     next_check = budget.next_check
     nodes = backtracks = hi = 0
     frames: list[list] = []  # [state, symbol, candidates, next index, trail mark, hi]
     while True:
-        best = None  # (admissible count, first waiting node, state, symbol, mask)
+        best = None  # (admissible count, -words through the cell, state, symbol, mask)
         top = min(hi + 2, n)
         for s in range(hi + 1):
             for a, cell in enumerate(waiting[s]):
                 if cell and delta[s][a] is None:
-                    _, mask, first = cell[-1]
+                    _, mask, weight = cell[-1]
                     count = sum(not ex & mask for ex in excluded[:top])
-                    if best is None or (count, first) < best[:2]:
-                        best = (count, first, s, a, mask)
+                    if best is None or (count, -weight) < best[:2]:
+                        best = (count, -weight, s, a, mask)
         if best is None:
             break
         _, _, s, a, mask = best
@@ -290,18 +309,18 @@ def check_clique(task: TaskSpec, clique: tuple[Word, ...]) -> None:
                 raise CheckFailed(f"clique prefixes {p!r} and {r!r} are compatible")
 
 
-def incompatibility_table(classes: list[tuple], budget: _Budget) -> list[int]:
+def incompatibility_table(classes: list[tuple], tick) -> list[int]:
     """The incompatibility relation over the classes of `trie.subtree_classes`
     as bitset rows: classes u and v are incompatible if both have outputs
     that differ, or some shared symbol leads to an incompatible pair of
     children, whose row is complete because classes are numbered children
-    first (no class is incompatible with itself). Each pair test ticks
-    `budget`."""
+    first (no class is incompatible with itself). Each pair test calls
+    `tick`."""
     adj = [0] * len(classes)
     for u, (ou, su) in enumerate(classes):
         row = 0
         for v, (ov, sv) in enumerate(classes[:u]):
-            budget.tick()
+            tick()
             if (ou is not None and ov is not None and ou != ov) or any(
                 cu >= 0 and cv >= 0 and adj[cu] >> cv & 1 for cu, cv in zip(su, sv)
             ):
@@ -326,7 +345,7 @@ def incompatibility_clique(task: TaskSpec, budget: Optional[_Budget] = None) -> 
     if budget is None:
         budget = _Budget(SearchConfig(), 0)
     cls, classes = subtree_classes(build_trie(task))
-    table = incompatibility_table(classes, budget)
+    table = incompatibility_table(classes, budget.tick)
     parent = breadth_first(cls, classes)
     order = list(parent)
     vertex = {c: i for i, c in enumerate(order)}

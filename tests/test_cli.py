@@ -8,6 +8,7 @@ from fstsynth.cli import entry, main
 from fstsynth.serialize import parse_transducer
 from fstsynth.core import verify
 from fstsynth.tasks import (
+    gen_palindrome,
     gen_parity,
     gen_signal_locator,
     gen_zeroes_or_ones,
@@ -53,12 +54,13 @@ class TestSynth:
         assert "UNSAT" not in err
 
     def test_zero_budget_is_a_limit(self, tmp_path, capsys):
-        path = tmp_path / "sl12-4.io"
-        path.write_text(write_task(gen_signal_locator(12, 4)))
+        # palindrome 6 takes 12,451 nodes at 9 states, past the first clock read
+        path = tmp_path / "pal6.io"
+        path.write_text(write_task(gen_palindrome(6)))
         assert main(["synth", str(path), "--budget-seconds", "0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("budget exhausted: time budget exhausted")
-        assert not (tmp_path / "sl12-4.fst").exists()
+        assert not (tmp_path / "pal6.fst").exists()
         assert main(["synth", str(path), "--budget-nodes", "0"]) == 1
         assert capsys.readouterr().err.strip().endswith("after 1 nodes")
 
@@ -84,7 +86,7 @@ class TestSynth:
         out = capsys.readouterr().out
         assert "minimal states: 6" in out
         assert "lower bound: 6 (prefix clique; output count 3)" in out
-        assert re.search(r"UNSAT at 3 states \(71 nodes, ", out)
+        assert re.search(r"UNSAT at 3 states \(94 nodes, ", out)
         assert "UNSAT at 4 states (clique of 6 prefixes)" in out
         assert "UNSAT at 5 states (clique of 6 prefixes)" in out
 
@@ -102,11 +104,11 @@ class TestSynth:
     @pytest.mark.parametrize(
         "row, n_states, digest",
         [
-            (0, 5, "281bc41278acb477da2e575e62fd511baab7adf2b72baebe441cd742da4f893b"),
-            (1, 6, "7b861f222b1f3fa340e351df23ec04ec167a91064e4c00c8bc6e30b6b3a96717"),
+            (0, 5, "1b45036f849a70ede5c316b5c9dcc61c01cb94d1b4ee61e2da6fc8a15d530a70"),
+            (1, 6, "79fc6fd253f0dd6a6b7131712427318c76e9aa7d57e4d4ed974ba24d50472054"),
             (2, 4, "8f17bc583f3bc4e101d649f3374db085888e12f727cc2b93fc17fec99b2a1e26"),
             (3, 5, "a23e20fc72ff4e4a1fa49a630d9370552e743b56942c274a8a4bc77b95c4ee3d"),
-            (4, 3, "641b6b08ba4ed39ca09a28248bf61164e6793252dcf2e1c1a89267363db15b1f"),
+            (4, 3, "ae40d87200032e22fcd7fdddfa39edeee3759ff80455cbad5a034f046c2ca90e"),
         ],
         ids=["sl9-3", "sl8-4", "zo4", "pal4", "words"],
     )

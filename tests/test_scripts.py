@@ -3,6 +3,7 @@ arguments: `--help` exits 0. The quick ones also run."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -54,3 +55,21 @@ def test_benchmark_hooks_exist():
     for module, attr, _ in spans.TARGETS:
         assert hasattr(importlib.import_module(f"fstsynth.{module}"), attr), f"fstsynth.{module}.{attr}"
     assert callable(importlib.import_module("fstsynth.cli").ENGINES[spans.ENGINE])
+
+
+def test_stress_tier():
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "stress.py")],
+        capture_output=True, text=True, env=ENV, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    rows = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [(r["task"], r["n_min"]) for r in rows] == [
+        ("pal5", 8), ("pal6", 10), ("sl12-4", 7), ("sl10-5", 7), ("zo8", 6), ("par12", 2), ("words", 3)
+    ]
+    for row in rows:
+        # one level per state count from the output bound up, all UNSAT but the last
+        levels = row["levels"]
+        assert [lv["n"] for lv in levels] == list(range(levels[0]["n"], row["n_min"] + 1))
+        assert [lv["verdict"] for lv in levels] == ["UNSAT"] * (len(levels) - 1) + ["SAT"]
+        assert all(lv["certificate"] in ("search", "clique") for lv in levels)

@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -125,11 +126,11 @@ class TestSearchCore:
     @pytest.mark.parametrize(
         "task, n, table",
         [
-            (gen_palindrome(4), 4, (65, 65)),
-            (gen_zeroes_or_ones(4), 3, (35, 35)),
-            (gen_signal_locator(8, 4), 5, (1530, 1530)),
-            (gen_signal_locator(9, 3), 5, (258, 249)),
-            (word_classification(), 3, (36, 9)),
+            (gen_palindrome(4), 4, (52, 52)),
+            (gen_zeroes_or_ones(4), 3, (36, 36)),
+            (gen_signal_locator(8, 4), 5, (246, 246)),
+            (gen_signal_locator(9, 3), 5, (192, 183)),
+            (word_classification(), 3, (42, 13)),
         ],
         ids=["pal4-4", "zo4-3", "sl8-4-5", "sl9-3-5", "words-3"],
     )
@@ -167,20 +168,38 @@ class TestSearchCore:
 
     @pytest.mark.parametrize("budget", [1, 4095, 4096, 100_000])
     def test_node_budget_is_exact(self, budget):
-        # palindrome 6 at 9 states is refuted in 194,056 nodes
+        # palindrome 7 at 12 states takes 129,797 nodes
         with pytest.raises(BudgetExhausted) as info:
-            synthesize_at(gen_palindrome(6), 9, SearchConfig(node_budget=budget))
+            synthesize_at(gen_palindrome(7), 12, SearchConfig(node_budget=budget))
         assert info.value.kind == "nodes"
         assert info.value.stats.nodes == budget + 1
 
-    def test_signal_locator_12_4_within_100k_nodes(self):
+    @pytest.mark.parametrize("task, n", [(gen_signal_locator(12, 4), 7), (gen_palindrome(5), 6)])
+    def test_task_line_order_moves_nothing(self, task, n):
+        # the trie is numbered in line order, but no decision reads it
+        flipped = TaskSpec(task.input_alphabet, task.output_alphabet, task.pairs[::-1])
+        a, b = synthesize_at(task, n), synthesize_at(flipped, n)
+        assert (a.stats.nodes, a.stats.backtracks) == (b.stats.nodes, b.stats.backtracks)
+        assert a.witness == b.witness
+
+    def test_signal_locator_12_4_within_1000_nodes(self):
         task = gen_signal_locator(12, 4)
-        outcome = synthesize_at(task, 7, SearchConfig(node_budget=100_000))
+        outcome = synthesize_at(task, 7, SearchConfig(node_budget=1_000))
         assert outcome.sat and verify(outcome.witness, task).ok
+
+    def test_zero_time_budget_stops_the_table_build(self):
+        # all 512 words of length 9, labelled at random: 141 classes, so the
+        # table above the output count takes 9,870 pair tests, none a node
+        rng = random.Random(1)
+        task = TaskSpec(("0", "1"), ("a", "b"), [(w(f"{i:09b}"), rng.choice("ab")) for i in range(512)])
+        with pytest.raises(BudgetExhausted) as info:
+            synthesize_at(task, lower_bound(task) + 1, SearchConfig(time_budget=0))
+        assert info.value.kind == "time"
+        assert (info.value.stats.nodes, info.value.stats.backtracks) == (0, 0)
 
     def test_zero_time_budget_stops_at_the_first_clock_check(self):
         with pytest.raises(BudgetExhausted) as info:
-            synthesize_at(gen_signal_locator(12, 4), 7, SearchConfig(time_budget=0))
+            synthesize_at(gen_palindrome(6), 9, SearchConfig(time_budget=0))  # 12,451 nodes
         assert info.value.kind == "time"
         assert info.value.stats.nodes == 4096
 
@@ -221,6 +240,15 @@ class TestSynthesizeMinimal:
         )
         assert n_min == 8 and verify(witness, task).ok
         assert [o.n for o in trail] == list(range(lower_bound(task), 8))
+        assert not any(o.sat for o in trail)
+
+    def test_palindrome_6_is_decided_within_100k_nodes_a_level(self):
+        task = gen_palindrome(6)
+        n_min, witness, trail = synthesize_minimal(
+            task, SearchConfig(max_states=12, node_budget=100_000)
+        )
+        assert n_min == 10 and verify(witness, task).ok
+        assert [o.n for o in trail] == list(range(lower_bound(task), 10))
         assert not any(o.sat for o in trail)
 
     def test_max_states_below_lower_bound(self):
