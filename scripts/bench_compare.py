@@ -38,8 +38,8 @@ def levels(checkout: Path, workload: str) -> list[dict]:
         task = parse_task(bench_task.text())
         searched = {}
 
-        def engine(task, n, cfg):
-            searched[n] = synthesize_at(task, n, cfg)
+        def engine(task, n, cfg, **kw):  # older checkouts pass no keywords
+            searched[n] = synthesize_at(task, n, cfg, **kw)
             return searched[n]
 
         trail, error = [], None

@@ -44,8 +44,8 @@ def main():
     for name, make_task in TASKS.items():
         searched = []
 
-        def engine(task, n, cfg):
-            searched.append(synthesize_at(task, n, cfg))
+        def engine(task, n, cfg, **kw):
+            searched.append(synthesize_at(task, n, cfg, **kw))
             return searched[-1]
 
         n_min, _, trail = synthesize_minimal(make_task(), SearchConfig(max_states=12), engine)

@@ -132,11 +132,33 @@ class _Budget:
         return SearchStats(nodes, backtracks, time.monotonic() - self.start)
 
 
-def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) -> SearchOutcome:
+class _Tables:
+    """What the search and the clique read of one task at every n: its trie,
+    the task words through each trie node and, once needed, the class table."""
+
+    def __init__(self, task: TaskSpec):
+        self.trie = build_trie(task)
+        self.words = words = [o is not None for o in self.trie.omega]
+        for u in range(self.trie.n_states - 1, 0, -1):  # children come after their parents
+            for c in self.trie.delta[u]:
+                if c is not None:
+                    words[u] += words[c]
+        self._table: Optional[tuple] = None
+
+    def table(self, tick) -> tuple[list[int], list[tuple], list[int]]:
+        """`subtree_classes` and their `incompatibility_table`; the build calls `tick`."""
+        if self._table is None:
+            cls, classes = subtree_classes(self.trie)
+            self._table = cls, classes, incompatibility_table(classes, tick)
+        return self._table
+
+
+def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *, tables=None) -> SearchOutcome:
     """Search for an n-state transducer realizing every task pair.
 
     Returns a SAT outcome with a total, verified witness, or an UNSAT
-    outcome only after exhausting the symmetry-reduced space.
+    outcome only after exhausting the symmetry-reduced space; below the
+    output count, with no search and a clique of one word per output.
 
     The root of the trie `build_trie` builds sits on state 0; every other
     node waits on the cell (its parent's state, its symbol), and binding
@@ -150,31 +172,33 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig()) ->
     and no mask names them. So trying the used states plus one fresh state
     is complete. Choices sit on an explicit stack, undone from a trail. A
     node is counted per candidate tried, a backtrack per candidate
-    withdrawn. The level's clock starts before the table build, so the time
-    budget and the stats cover it; its pair tests are not nodes.
+    withdrawn. The trie and table come from `tables`, else are built after
+    the level's clock starts, so the time budget and the stats cover them
+    (but not a table built before the call); pair tests are not nodes.
     """
     if n < 1:
         raise FstError("n must be >= 1")
+    lo = lower_bound(task)
+    if n < lo:
+        pairs = sorted(task.pairs, key=lambda p: (len(p[0]), p[0]))
+        clique = tuple(next(w for w, o in pairs if o == out) for out in task.used_outputs())
+        check_clique(task, clique)
+        return SearchOutcome(n=n, witness=None, stats=SearchStats(0, 0, 0.0), clique=clique)
     budget = _Budget(cfg, n)
-    trie = build_trie(task)
+    tables = tables or _Tables(task)
+    trie, words = tables.trie, tables.words
     kids = trie.delta
-    if n == lower_bound(task):
+    if n == lo:
         outputs = {o: i for i, o in enumerate(task.output_alphabet, start=1)}
         key = [outputs.get(o, 0) for o in trie.omega]  # 0: no output, excludes nothing
         everything = (1 << len(outputs) + 1) - 2
         adj = [0] + [everything ^ 1 << i for i in outputs.values()]
     else:
-        key, classes = subtree_classes(trie)
-        adj = incompatibility_table(classes, budget.clock)
+        key, _, adj = tables.table(budget.clock)
     bit = [1 << c for c in key]
     excludes = [adj[c] for c in key]
     # the trail keeps a placement only where it excludes keys or sets an output
     kept = [bool(x) or o is not None for x, o in zip(excludes, trie.omega)]
-    words = [o is not None for o in trie.omega]  # task words through each node
-    for u in range(len(kids) - 1, 0, -1):  # children come after their parents
-        for c in kids[u]:
-            if c is not None:
-                words[u] += words[c]
     delta: list[list[Optional[int]]] = [[None] * len(kids[0]) for _ in range(n)]
     # per cell, its waiting nodes as (node, mask of their keys, words through them)
     waiting: list[list[list[tuple]]] = [[[] for _ in kids[0]] for _ in range(n)]
@@ -331,7 +355,7 @@ def incompatibility_table(classes: list[tuple], tick) -> list[int]:
     return adj
 
 
-def incompatibility_clique(task: TaskSpec, budget: Optional[_Budget] = None) -> tuple[Word, ...]:
+def incompatibility_clique(task: TaskSpec, budget: Optional[_Budget] = None, tables=None) -> tuple[Word, ...]:
     """A largest set of pairwise-incompatible prefixes of the task words,
     one shortest prefix per member. Two prefixes are incompatible when some
     common suffix completes both to task words with different outputs; a
@@ -341,11 +365,10 @@ def incompatibility_clique(task: TaskSpec, budget: Optional[_Budget] = None) -> 
     The graph is `incompatibility_table` over the classes of the prefix
     trie, renumbered as `trie.minimize` numbers its states: prefixes in one
     class share their suffix function, so the largest clique is the same.
-    Pair tests and branch-and-bound nodes tick `budget`."""
+    Pair tests of a table not yet built and branch-and-bound nodes tick `budget`."""
     if budget is None:
         budget = _Budget(SearchConfig(), 0)
-    cls, classes = subtree_classes(build_trie(task))
-    table = incompatibility_table(classes, budget.tick)
+    cls, classes, table = (tables or _Tables(task)).table(budget.tick)
     parent = breadth_first(cls, classes)
     order = list(parent)
     vertex = {c: i for i, c in enumerate(order)}
@@ -374,10 +397,12 @@ def synthesize_minimal(
 
     When the level at the output bound is UNSAT, the incompatibility
     clique is computed once; the levels below its size enter the trail
-    certified by it, without a search."""
+    certified by it, without a search. One `_Tables` serves every level, as
+    `engine(task, n, cfg, tables=...)`, and the clique, which builds the table."""
     lo = lower_bound(task)
     if cfg.max_states < lo:
         raise NoSolutionWithin(cfg.max_states)
+    tables = _Tables(task)
     unsat_trail: list[SearchOutcome] = []
     clique: tuple[Word, ...] = ()
     for n in range(lo, cfg.max_states + 1):
@@ -386,10 +411,10 @@ def synthesize_minimal(
                 SearchOutcome(n=n, witness=None, stats=SearchStats(0, 0, 0.0), clique=clique)
             )
             continue
-        outcome = engine(task, n, cfg)
+        outcome = engine(task, n, cfg, tables=tables)
         if outcome.sat:
             return n, outcome.witness, unsat_trail
         unsat_trail.append(outcome)
         if n == lo:
-            clique = incompatibility_clique(task, _Budget(cfg, n + 1))
+            clique = incompatibility_clique(task, _Budget(cfg, n + 1), tables)
     raise NoSolutionWithin(cfg.max_states, tuple(unsat_trail))

@@ -112,6 +112,20 @@ def test_output_count_level_builds_no_table(monkeypatch):
         synthesize_at(gen_palindrome(5), lower_bound(gen_palindrome(5)) + 1)
 
 
+@pytest.mark.parametrize(
+    "task, n", [(word_classification(), 1), (word_classification(), 2), (gen_signal_locator(10, 5), 4)],
+    ids=["words-1", "words-2", "sl10-5-4"],
+)
+def test_below_the_output_count_no_search(task, n):
+    outcome = synthesize_at(task, n)
+    assert not outcome.sat and outcome.stats.nodes == 0
+    assert len(outcome.clique) > n
+    check_clique(task, outcome.clique)
+    assert_pairwise_incompatible(task, outcome.clique)
+    outputs = dict(task.pairs)
+    assert len({outputs[word] for word in outcome.clique}) == len(outcome.clique)
+
+
 def test_certified_levels_agree_with_the_search():
     task = gen_palindrome(4)
     _, _, trail = synthesize_minimal(task)

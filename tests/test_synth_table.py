@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import sorted_pairs, tiny_tasks
+from fstsynth import synth_table
 from fstsynth.core import FstError, TaskSpec, Transducer, verify
 from fstsynth.oracle import oracle_sat
 from fstsynth.synth_table import (
@@ -144,8 +145,9 @@ class TestSearchCore:
             # 01, 010 and 0 end on nodes 0101 made
             (ENDS_INSIDE, 3, (6, 6), None, None),
             (ENDS_INSIDE, 4, (5, 0), ((1, 1), (1, 2), (3, 2), (3, 0)), ("x", "z", "y", "x")),
-            # 0110 extends the end of 01, 01101 that of 011
-            (EXTENDS, 2, (1, 1), None, None),
+            # 0110 extends the end of 01, 01101 that of 011; 2 states are
+            # below the output count, refuted with no search
+            (EXTENDS, 2, (0, 0), None, None),
             (EXTENDS, 3, (12, 7), ((1, 1), (0, 2), (2, 0)), ("z", "y", "x")),
         ],
         ids=["ends-inside-3", "ends-inside-4", "extends-2", "extends-3"],
@@ -250,6 +252,46 @@ class TestSynthesizeMinimal:
         assert n_min == 10 and verify(witness, task).ok
         assert [o.n for o in trail] == list(range(lower_bound(task), 10))
         assert not any(o.sat for o in trail)
+
+    @pytest.mark.parametrize(
+        "task, built", [(gen_signal_locator(12, 4), (1, 1, 1)), (word_classification(), (1, 0, 0))],
+        ids=["sl12-4", "words"],
+    )
+    def test_task_tables_are_built_once(self, monkeypatch, task, built):
+        # sl12-4 searches 4 levels and builds the clique; words is SAT at the output count
+        names = ("build_trie", "subtree_classes", "incompatibility_table")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _original=getattr(synth_table, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(synth_table, name, counted)
+        synthesize_minimal(task)
+        assert tuple(calls.values()) == built
+
+    @pytest.mark.parametrize(
+        "task, max_states",
+        [(gen_signal_locator(12, 4), 16), (gen_signal_locator(10, 5), 16), (gen_zeroes_or_ones(8), 16),
+         (gen_palindrome(5), 6)],
+        ids=["sl12-4", "sl10-5", "zo8", "pal5"],
+    )
+    def test_shared_tables_change_no_level(self, task, max_states):
+        searched = []
+
+        def engine(task, n, cfg, **kw):
+            assert "tables" in kw
+            searched.append(synthesize_at(task, n, cfg, **kw))
+            return searched[-1]
+
+        try:
+            synthesize_minimal(task, SearchConfig(max_states=max_states), engine)
+        except NoSolutionWithin:
+            pass
+        assert len(searched) >= 2  # the output count and a level above it
+        for shared in searched:
+            fresh = synthesize_at(task, shared.n)
+            assert (shared.stats.nodes, shared.stats.backtracks) == (fresh.stats.nodes, fresh.stats.backtracks)
+            assert shared.witness == fresh.witness
 
     def test_max_states_below_lower_bound(self):
         with pytest.raises(NoSolutionWithin):
