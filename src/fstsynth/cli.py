@@ -5,6 +5,9 @@ minimize), bench (the five-task comparison table), run (apply a machine to
 a word), gen (write a built-in task file, one integer argument per
 parameter of its generator).
 
+The parser is built once per process, on the first call, and `main`
+looks up the handler `cmd_<subcommand>` by name on every call.
+
 synth and trie open their output paths before any work, so a path that
 cannot be written, or that is the task file or the other output under
 any name, is refused (exit 2) before the search or the trie build.
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import inspect
 import os
 import sys
@@ -284,6 +288,7 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fstsynth",
@@ -303,37 +308,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-states", type=int, default=16)
     p.add_argument("--budget-nodes", type=int, default=None)
     p.add_argument("--budget-seconds", type=float, default=None)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("trie", parents=[machine], help="build (and optionally minimize) the prefix trie")
     p.add_argument("--minimize", action="store_true")
-    p.set_defaults(func=cmd_trie)
 
     p = sub.add_parser("bench", help="print the five-task comparison table")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--no-timings", action="store_true")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("run", help="apply a transducer to a word")
     p.add_argument("transducerfile")
     p.add_argument("word")
     p.add_argument("--trace", action="store_true", help="print the full trajectory")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("gen", help="write a built-in task file")
     p.add_argument("family", choices=sorted(tasks_mod.GENERATORS))
     p.add_argument("params", nargs="*")
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=cmd_gen)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except OSError as e:
         if e.filename is None:
             raise

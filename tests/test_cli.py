@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import re
 
@@ -483,6 +484,57 @@ class TestEntry:
         assert entry(["synth", str(parity_file), "--max-states", "1"]) == 1
         assert entry(["synth", str(tmp_path / "missing.io")]) == 2
         assert entry(["synth", str(tmp_path)]) == 2
+
+
+class TestParser:
+    """One parser serves every call in a process; no call may see another's options."""
+
+    def test_options_do_not_carry_over(self, sl93_file, capsys):
+        # sl9-3 needs 5 states
+        assert main(["synth", str(sl93_file), "--max-states", "3"]) == 1
+        assert main(["synth", str(sl93_file)]) == 0
+        assert "minimal states: 5" in capsys.readouterr().out
+        assert cli.build_parser().parse_args(["synth", str(sl93_file)]).max_states == 16
+
+    def test_bad_argv_then_good_call(self, sl93_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", str(sl93_file), "--max-states", "three"])
+        assert exc.value.code == 2
+        assert main(["synth", str(sl93_file)]) == 0
+
+    def test_output_default_after_explicit_output(self, sl93_file, tmp_path, capsys):
+        default = tmp_path / "sl93.fst"
+        assert main(["trie", str(sl93_file), "-o", str(tmp_path / "a.fst")]) == 0
+        assert not default.exists()
+        assert main(["trie", str(sl93_file)]) == 0
+        assert capsys.readouterr().out.endswith(f"wrote {default}\n")
+        assert default.exists()
+
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        constructed = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        cli.build_parser()
+        one_build = len(constructed)
+        assert one_build > 0
+        cli.build_parser.cache_clear()
+        constructed.clear()
+        for _ in range(3):
+            assert main(["gen", "parity", "2"]) == 0
+        assert len(constructed) == one_build
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_every_subcommand_has_a_handler(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        handlers = {name.removeprefix("cmd_") for name in vars(cli) if name.startswith("cmd_")}
+        assert set(sub.choices) == handlers
 
 
 class TestGen:
