@@ -3,10 +3,8 @@
 Subcommands: synth (exact minimal synthesis), trie (baseline build +
 minimize), bench (the five-task comparison table), run (apply a machine to
 a word), gen (write a built-in task file, one integer argument per
-parameter of its generator).
-
-The parser is built once per process, on the first call, and `main`
-looks up the handler `cmd_<subcommand>` by name on every call.
+parameter of its generator). `main` parses with one parser per process
+(`_parser`) and looks up the handler `cmd_<subcommand>` by name per call.
 
 synth and trie open their output paths before any work, so a path that
 cannot be written, or that is the task file or the other output under
@@ -288,8 +286,8 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call; `main` keeps one per process (`_parser`)."""
     parser = argparse.ArgumentParser(
         prog="fstsynth",
         description="Exact minimal single-output transducer synthesis "
@@ -329,8 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
     except OSError as e:

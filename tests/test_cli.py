@@ -519,22 +519,35 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        cli.build_parser.cache_clear()
         cli.build_parser()
         one_build = len(constructed)
         assert one_build > 0
-        cli.build_parser.cache_clear()
+        cli._parser.cache_clear()
         constructed.clear()
         for _ in range(3):
             assert main(["gen", "parity", "2"]) == 0
         assert len(constructed) == one_build
-        assert cli.build_parser() is cli.build_parser()
+        assert cli._parser() is cli._parser()
 
-    def test_every_subcommand_has_a_handler(self):
+    def test_public_parser_is_not_the_shared_one(self, sl93_file, capsys):
         parser = cli.build_parser()
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert parser is not cli.build_parser()
+        parser.add_argument("--always", required=True)
+        assert main(["synth", str(sl93_file)]) == 0
+        assert "minimal states: 5" in capsys.readouterr().out
+
+    def test_every_subcommand_has_a_handler(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        names = re.search(r"\{([\w,]+)\}", capsys.readouterr().out).group(1).split(",")
         handlers = {name.removeprefix("cmd_") for name in vars(cli) if name.startswith("cmd_")}
-        assert set(sub.choices) == handlers
+        assert set(names) == handlers
+        for name in names:
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith(f"usage: fstsynth {name}")
 
 
 class TestGen:
