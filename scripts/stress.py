@@ -3,12 +3,26 @@
 states and with no budget, and print one JSON line per task: its n_min and,
 per level from the output lower bound to n_min, the verdict, the search
 nodes and seconds, and the certificate: "search" for a level the search
-decided, "clique" for one the clique refuted with no search."""
+decided, "clique" for one the clique refuted with no search.
+
+With --frontier, run instead the tasks the search cannot yet finish or only
+just finishes: palindrome 7 up to 13 states and two random-target tasks,
+each level under a 60 s budget. Per task, one JSON line gives the last
+level refuted (its nodes, seconds and certificate), n_min if it was
+reached, else null, and why the run stopped."""
 
 import argparse
 import json
+import random
 
-from fstsynth.synth_table import SearchConfig, synthesize_at, synthesize_minimal
+from fstsynth.core import TaskSpec, Transducer, run
+from fstsynth.synth_table import (
+    BudgetExhausted,
+    NoSolutionWithin,
+    SearchConfig,
+    synthesize_at,
+    synthesize_minimal,
+)
 from fstsynth.tasks import (
     gen_palindrome,
     gen_parity,
@@ -28,6 +42,33 @@ TASKS = {
 }
 
 
+def random_target(k: int, m: int, length: int, seed: int) -> TaskSpec:
+    """m distinct binary words of 1 to `length` symbols, labelled by a random
+    k-state machine over two outputs, so n_min is at most k: the Abbadingo
+    setup (Lang, Pearlmutter & Price, ICGI 1998)."""
+    rng = random.Random(seed)
+    machine = Transducer(
+        k,
+        ("0", "1"),
+        ("a", "b"),
+        tuple(tuple(rng.randrange(k) for _ in range(2)) for _ in range(k)),
+        tuple(rng.choice("ab") for _ in range(k)),
+    )
+    words = set()
+    while len(words) < m:
+        words.add(tuple(rng.choice("01") for _ in range(rng.randint(1, length))))
+    return TaskSpec(("0", "1"), ("a", "b"), tuple((w, run(machine, w)) for w in sorted(words)))
+
+
+FRONTIER_SECONDS = 60.0  # per level
+# name: (task, max_states)
+FRONTIER = {
+    "pal7": (lambda: gen_palindrome(7), 13),
+    "target10-800": (lambda: random_target(10, 800, 16, 0), 16),
+    "target12-1000": (lambda: random_target(12, 1000, 16, 0), 16),
+}
+
+
 def level(outcome):
     stats = outcome.stats
     return {
@@ -39,18 +80,39 @@ def level(outcome):
     }
 
 
+def decide(task, cfg):
+    """synthesize_minimal's n_min or None, the levels it decided with the
+    SAT level last (after a blown budget, only the levels it searched), and
+    why it stopped: None once n_min is reached."""
+    searched = []
+
+    def engine(task, n, cfg, **kw):
+        searched.append(synthesize_at(task, n, cfg, **kw))
+        return searched[-1]
+
+    try:
+        n_min, _, trail = synthesize_minimal(task, cfg, engine)
+        return n_min, trail + searched[-1:], None
+    except NoSolutionWithin as e:
+        return None, list(e.trail), "max_states"
+    except BudgetExhausted as e:
+        return None, [o for o in searched if o.n < e.n], f"{e.kind} budget at {e.n} states"
+
+
 def main():
-    argparse.ArgumentParser(description=__doc__).parse_args()
-    for name, make_task in TASKS.items():
-        searched = []
-
-        def engine(task, n, cfg, **kw):
-            searched.append(synthesize_at(task, n, cfg, **kw))
-            return searched[-1]
-
-        n_min, _, trail = synthesize_minimal(make_task(), SearchConfig(max_states=12), engine)
-        levels = [level(outcome) for outcome in trail + searched[-1:]]
-        print(json.dumps({"task": name, "n_min": n_min, "levels": levels}), flush=True)
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--frontier", action="store_true", help="run the frontier tier instead")
+    args = parser.parse_args()
+    if not args.frontier:
+        for name, make_task in TASKS.items():
+            n_min, levels, _ = decide(make_task(), SearchConfig(max_states=12))
+            print(json.dumps({"task": name, "n_min": n_min, "levels": [level(o) for o in levels]}), flush=True)
+        return
+    for name, (make_task, max_states) in FRONTIER.items():
+        n_min, levels, stopped = decide(make_task(), SearchConfig(max_states=max_states, time_budget=FRONTIER_SECONDS))
+        refuted = [o for o in levels if not o.sat]
+        print(json.dumps({"task": name, "n_min": n_min, "last_refuted": level(refuted[-1]) if refuted else None,
+                          "stopped": stopped}), flush=True)
 
 
 if __name__ == "__main__":

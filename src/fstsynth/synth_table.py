@@ -97,9 +97,10 @@ class _Budget:
     """Node and time limits of one level. `check` raises BudgetExhausted at
     a limit and returns the node count to call it at next: one past the node
     limit or 4096 on, as a clock read per node would dominate. The search
-    counts its own nodes; the clique search calls `tick` once per node. The
-    search's table build calls `clock` once per pair test: a pair test is not
-    a search node, so only the time limit applies to it."""
+    counts its own nodes; the clique calls `tick` once per table row, per
+    union of a row and per member. The search's table build calls `clock`
+    for each of those: they are not search nodes, so only the time limit
+    applies to them."""
 
     __slots__ = ("node_limit", "start", "deadline", "nodes", "next_check", "n")
 
@@ -170,11 +171,14 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
     first in (state, symbol) order. Whichever cell is chosen, the states not
     yet used are interchangeable: no cell leaves them, no node sits on them
     and no mask names them. So trying the used states plus one fresh state
-    is complete. Choices sit on an explicit stack, undone from a trail. A
-    node is counted per candidate tried, a backtrack per candidate
-    withdrawn. The trie and table come from `tables`, else are built after
-    the level's clock starts, so the time budget and the stats cover them
-    (but not a table built before the call); pair tests are not nodes.
+    is complete. Choices sit on an explicit stack; each decision keeps a
+    copy of the states' masks and outputs from before it, and a trail of
+    the waiting lists appended to since, so trying its next candidate
+    restores both. A node is counted per candidate tried, a backtrack per
+    candidate withdrawn. The trie and table come from `tables`, else are
+    built after the level's clock starts, so the time budget and the stats
+    cover them (but not a table built before the call); the table's rows
+    and unions are not nodes.
     """
     if n < 1:
         raise FstError("n must be >= 1")
@@ -197,13 +201,13 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
         key, _, adj = tables.table(budget.clock)
     bit = [1 << c for c in key]
     excludes = [adj[c] for c in key]
-    # the trail keeps a placement only where it excludes keys or sets an output
-    kept = [bool(x) or o is not None for x, o in zip(excludes, trie.omega)]
+    omega = trie.omega
     delta: list[list[Optional[int]]] = [[None] * len(kids[0]) for _ in range(n)]
     # per cell, its waiting nodes as (node, mask of their keys, words through them)
     waiting: list[list[list[tuple]]] = [[[] for _ in kids[0]] for _ in range(n)]
     excluded = [0] * n
-    trail: list = []  # (node, state, excluded before) or a waiting list appended to
+    outputs: list[Optional[str]] = [None] * n
+    trail: list[list] = []  # the waiting lists appended to, in order
     push = trail.append
 
     def place(walk: list[tuple[int, int]]) -> bool:
@@ -213,9 +217,9 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
                 ex = excluded[q]
                 if ex & bit[u]:
                     return False
-                if kept[u]:
-                    push((u, q, ex))
-                    excluded[q] = ex | excludes[u]
+                excluded[q] = ex | excludes[u]
+                if omega[u] is not None:
+                    outputs[q] = omega[u]
                 row = delta[q]
                 v = r = -1
                 for a, c in enumerate(kids[u]):
@@ -237,30 +241,29 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
     place([(0, 0)])
     next_check = budget.next_check
     nodes = backtracks = hi = 0
-    frames: list[list] = []  # [state, symbol, candidates, next index, trail mark, hi]
+    # [state, symbol, candidates, next index, trail mark, hi, excluded and outputs before]
+    frames: list[list] = []
     while True:
         best = None  # (admissible count, -words through the cell, state, symbol, mask)
         top = min(hi + 2, n)
+        masks = excluded[:top]  # of the states in use and one fresh state
         for s in range(hi + 1):
             for a, cell in enumerate(waiting[s]):
                 if cell and delta[s][a] is None:
                     _, mask, weight = cell[-1]
-                    count = sum(not ex & mask for ex in excluded[:top])
+                    count = sum(not ex & mask for ex in masks)
                     if best is None or (count, -weight) < best[:2]:
                         best = (count, -weight, s, a, mask)
         if best is None:
             break
         _, _, s, a, mask = best
-        frames.append([s, a, [t for t in range(top) if not excluded[t] & mask], 0, len(trail), hi])
+        candidates = [t for t in range(top) if not excluded[t] & mask]
+        frames.append([s, a, candidates, 0, len(trail), hi, excluded[:], outputs[:]])
         while frames:
             frame = frames[-1]
-            s, a, candidates, i, mark, hi = frame
+            s, a, candidates, i, mark, hi, excluded[:], outputs[:] = frame
             for _ in range(len(trail) - mark):
-                entry = trail.pop()
-                if type(entry) is list:
-                    entry.pop()
-                else:
-                    excluded[entry[1]] = entry[2]
+                trail.pop().pop()
             delta[s][a] = None
             backtracks += i > 0  # the candidate tried last is withdrawn
             if i == len(candidates):
@@ -278,11 +281,7 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
         else:
             return SearchOutcome(n=n, witness=None, stats=budget.stats(nodes, backtracks))
     stats = budget.stats(nodes, backtracks)
-    omega: list[Optional[str]] = [None] * n
-    for entry in trail:
-        if type(entry) is tuple and trie.omega[entry[0]] is not None:
-            omega[entry[1]] = trie.omega[entry[0]]
-    witness = totalize(Transducer(n, task.input_alphabet, task.output_alphabet, delta, omega))
+    witness = totalize(Transducer(n, task.input_alphabet, task.output_alphabet, delta, outputs))
     if not verify(witness, task).ok:
         raise CheckFailed("search produced a non-verifying witness")
     return SearchOutcome(n=n, witness=witness, stats=stats)
@@ -296,27 +295,19 @@ def _bits(x: int):
 
 
 def _max_clique(adj: list[int], budget: _Budget) -> list[int]:
-    """A maximum clique of the graph with bitset adjacency `adj`: a greedy
-    start, then depth-first branch and bound. Each node ticks `budget`."""
-    best: list[int] = []
+    """A clique of the graph with bitset adjacency `adj`, grown greedily:
+    each member is the candidate with the most candidate neighbours, and
+    each member ticks `budget`. Any clique is a valid lower bound; an exact
+    maximum costs seconds on tasks of a thousand classes and was no larger
+    on any family task."""
+    clique: list[int] = []
     cand = (1 << len(adj)) - 1
-    while cand:  # greedy: the candidate with the most candidate neighbours
-        v = max(_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
-        best.append(v)
-        cand &= adj[v]
-    stack = [((), (1 << len(adj)) - 1)]
-    while stack:
-        clique, cand = stack.pop()
+    while cand:
         budget.tick()
-        if len(clique) + cand.bit_count() <= len(best):
-            continue
-        if not cand:
-            best = list(clique)
-            continue
-        v = cand.bit_length() - 1
-        stack.append((clique, cand ^ (1 << v)))
-        stack.append((clique + (v,), cand & adj[v]))
-    return best
+        v = max(_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
+        clique.append(v)
+        cand &= adj[v]
+    return clique
 
 
 def check_clique(task: TaskSpec, clique: tuple[Word, ...]) -> None:
@@ -336,19 +327,34 @@ def check_clique(task: TaskSpec, clique: tuple[Word, ...]) -> None:
 def incompatibility_table(classes: list[tuple], tick) -> list[int]:
     """The incompatibility relation over the classes of `trie.subtree_classes`
     as bitset rows: classes u and v are incompatible if both have outputs
-    that differ, or some shared symbol leads to an incompatible pair of
-    children, whose row is complete because classes are numbered children
-    first (no class is incompatible with itself). Each pair test calls
-    `tick`."""
+    that differ, or some symbol a leads to an incompatible pair of children.
+    Classes are numbered children first, so the rows row u reads are
+    complete once the rows before it are built. Its bits below u are the
+    classes with another output plus, per a-child cu of u, the union of
+    `parents[a][x]` (the classes whose a-child is x) over the x incompatible
+    with cu. No class is incompatible with itself. The work grows with the
+    classes and the incompatible child pairs, not with all pairs of classes:
+    `tick` is called once per row and once per union."""
+    by_output: dict[str, int] = {}
+    parents = [[0] * len(classes) for _ in classes[0][1]]  # per symbol
+    for v, (o, succ) in enumerate(classes):
+        if o is not None:
+            by_output[o] = by_output.get(o, 0) | 1 << v
+        for a, c in enumerate(succ):
+            if c >= 0:
+                parents[a][c] |= 1 << v
+    defined = sum(by_output.values())
     adj = [0] * len(classes)
     for u, (ou, su) in enumerate(classes):
-        row = 0
-        for v, (ov, sv) in enumerate(classes[:u]):
-            tick()
-            if (ou is not None and ov is not None and ou != ov) or any(
-                cu >= 0 and cv >= 0 and adj[cu] >> cv & 1 for cu, cv in zip(su, sv)
-            ):
-                row |= 1 << v
+        tick()
+        row = 0 if ou is None else defined ^ by_output[ou]
+        for a, cu in enumerate(su):
+            if cu >= 0:
+                column = parents[a]
+                for x in _bits(adj[cu]):
+                    tick()
+                    row |= column[x]
+        row &= (1 << u) - 1
         adj[u] = row
         for v in _bits(row):
             adj[v] |= 1 << u
@@ -356,7 +362,7 @@ def incompatibility_table(classes: list[tuple], tick) -> list[int]:
 
 
 def incompatibility_clique(task: TaskSpec, budget: Optional[_Budget] = None, tables=None) -> tuple[Word, ...]:
-    """A largest set of pairwise-incompatible prefixes of the task words,
+    """A large set of pairwise-incompatible prefixes of the task words,
     one shortest prefix per member. Two prefixes are incompatible when some
     common suffix completes both to task words with different outputs; a
     realization must send them to distinct states, so no machine has fewer
@@ -364,8 +370,10 @@ def incompatibility_clique(task: TaskSpec, budget: Optional[_Budget] = None, tab
 
     The graph is `incompatibility_table` over the classes of the prefix
     trie, renumbered as `trie.minimize` numbers its states: prefixes in one
-    class share their suffix function, so the largest clique is the same.
-    Pair tests of a table not yet built and branch-and-bound nodes tick `budget`."""
+    class share their suffix function, so a clique of classes is one of
+    prefixes. The clique is grown greedily, so it may fall short of the
+    largest; the search then refutes the levels in between. The rows and
+    unions of a table not yet built and each member tick `budget`."""
     if budget is None:
         budget = _Budget(SearchConfig(), 0)
     cls, classes, table = (tables or _Tables(task)).table(budget.tick)

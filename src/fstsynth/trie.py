@@ -86,9 +86,10 @@ def minimize(t: Transducer, task: TaskSpec) -> Transducer:
     (undefined successor counting as its own class). The classes come from
     one children-first pass (Revuz, TCS 1992) and are numbered in
     `breadth_first` order from the initial class; a cycle raises
-    PreconditionViolated."""
-    if not verify(t, task).ok:
-        raise PreconditionViolated("minimize requires a verifying transducer")
+    PreconditionViolated. The quotient map is checked to be a morphism, so
+    the quotient gives t's output on every word, and t is walked through
+    the task only when the quotient fails to verify: PreconditionViolated
+    if t does not verify either, else CheckFailed."""
     cls, classes = subtree_classes(t)
     number = {c: i for i, c in enumerate(breadth_first(cls, classes))}
     for c in cls:  # unreachable classes (none for tries) go after, in state order
@@ -104,5 +105,7 @@ def minimize(t: Transducer, task: TaskSpec) -> Transducer:
             raise CheckFailed(f"state {q} does not agree with its class {i}")
     result = Transducer(len(classes), t.input_alphabet, t.output_alphabet, delta, omega)
     if not verify(result, task).ok:
+        if not verify(t, task).ok:
+            raise PreconditionViolated("minimize requires a verifying transducer")
         raise CheckFailed("the minimized transducer does not verify")
     return result

@@ -1,5 +1,6 @@
-"""The incompatibility-clique lower bound: its certified UNSAT levels, its
-budget, and a differential check against the brute-force oracle."""
+"""The incompatibility-clique lower bound: its table, its certified UNSAT
+levels, its budget, and a differential check against the brute-force
+oracle."""
 
 import itertools
 import random
@@ -16,10 +17,12 @@ from fstsynth.synth_table import (
     _Budget,
     check_clique,
     incompatibility_clique,
+    incompatibility_table,
     lower_bound,
     synthesize_at,
     synthesize_minimal,
 )
+from fstsynth.trie import build_trie, subtree_classes
 from fstsynth.tasks import (
     gen_palindrome,
     gen_parity,
@@ -59,15 +62,16 @@ def test_clique_sizes(task, size):
     assert_pairwise_incompatible(task, clique)
 
 
-# each clique and its _Budget tick count as computed on the minimized
-# trie, before the clique read the subtree-class table directly
+# each clique as computed on the minimized trie, before the clique read the
+# subtree-class table directly; its _Budget ticks: one per table row, per
+# union of a row and one per clique member
 @pytest.mark.parametrize(
     "task, clique, ticks",
     [
-        (gen_zeroes_or_ones(6), ("0000", "0001", "0011", "0111", "1111"), 266),
-        (gen_palindrome(5), ("00", "01", "10", "11"), 145),
-        (gen_signal_locator(9, 3), ("0000001", "0000010", "0010000"), 400),
-        (word_classification(), ("eki", "asztal", "erudite"), 1590),
+        (gen_zeroes_or_ones(6), ("0000", "0001", "0011", "0111", "1111"), 133),
+        (gen_palindrome(5), ("00", "01", "10", "11"), 80),
+        (gen_signal_locator(9, 3), ("0000001", "0000010", "0010000"), 60),
+        (word_classification(), ("eki", "asztal", "erudite"), 80),
     ],
     ids=["zo6", "pal5", "sl9-3", "words"],
 )
@@ -152,6 +156,69 @@ def test_bad_certificate_is_rejected(monkeypatch):
     monkeypatch.setattr(synth_table, "_max_clique", lambda adj, budget: list(range(len(adj))))
     with pytest.raises(CheckFailed):
         incompatibility_clique(task)
+
+
+def _target_task(seed, k, m, length):
+    """m distinct binary words of 1 to `length` symbols, labelled by a random
+    k-state machine over two outputs."""
+    rng = random.Random(seed)
+    machine = Transducer(
+        k,
+        ("0", "1"),
+        ("a", "b"),
+        tuple(tuple(rng.randrange(k) for _ in range(2)) for _ in range(k)),
+        tuple(rng.choice("ab") for _ in range(k)),
+    )
+    words = set()
+    while len(words) < m:
+        words.add(tuple(rng.choice("01") for _ in range(rng.randint(1, length))))
+    return TaskSpec(("0", "1"), ("a", "b"), tuple((w, run(machine, w)) for w in sorted(words)))
+
+
+def _labelled_task(seed, m, shortest, longest):
+    """m random binary words of `shortest` to `longest` symbols with random
+    labels: few of their prefixes share a completion, so the graph is sparse."""
+    rng = random.Random(seed)
+    words = {tuple(rng.choice("01") for _ in range(rng.randint(shortest, longest))) for _ in range(m)}
+    return TaskSpec(("0", "1"), ("a", "b"), tuple((w, rng.choice("ab")) for w in sorted(words)))
+
+
+@pytest.mark.parametrize(
+    "task",
+    [gen_zeroes_or_ones(6), gen_palindrome(5), gen_palindrome(6), gen_signal_locator(9, 3),
+     gen_signal_locator(12, 4), gen_parity(6), word_classification(),
+     _target_task(1, 5, 60, 8), _target_task(2, 8, 120, 10), _labelled_task(3, 40, 4, 10)],
+    ids=["zo6", "pal5", "pal6", "sl9-3", "sl12-4", "par6", "words", "target-5", "target-8", "labelled"],
+)
+def test_table_rows_match_pairwise_recomputation(task):
+    """Each row, against the classes' shortest prefixes tested pair by pair:
+    incompatible when a common suffix completes both to different outputs."""
+    trie = build_trie(task)
+    cls, classes = subtree_classes(trie)
+    prefix = {}
+    queue = [(0, ())]
+    for q, word in queue:  # breadth first, so each class keeps a shortest prefix
+        prefix.setdefault(cls[q], word)
+        queue += [(c, word + (a,)) for a, c in zip(task.input_alphabet, trie.delta[q]) if c is not None]
+    assert sorted(prefix) == list(range(len(classes)))
+    completions = [
+        {w[len(prefix[c]):]: o for w, o in task.pairs if w[: len(prefix[c])] == prefix[c]}
+        for c in range(len(classes))
+    ]
+    expected = [
+        sum(1 << v for v, other in enumerate(completions) if any(other.get(s, o) != o for s, o in mine.items()))
+        for mine in completions
+    ]
+    assert incompatibility_table(classes, lambda: None) == expected
+
+
+def test_sparse_table_ticks_far_fewer_than_class_pairs():
+    # 145 classes and 329 incompatible pairs; one tick per class pair would be 10,440
+    task = _labelled_task(0, 60, 6, 12)
+    _, classes = subtree_classes(build_trie(task))
+    budget = _Budget(SearchConfig(), 0)
+    incompatibility_table(classes, budget.tick)
+    assert budget.nodes < len(classes) ** 2 / 10
 
 
 def _random_task(rng, symbols):

@@ -15,6 +15,7 @@ from fstsynth.tasks import (
     gen_zeroes_or_ones,
     word_classification,
 )
+from fstsynth import trie as trie_module
 from fstsynth.trie import build_trie, minimize, subtree_classes
 
 
@@ -78,6 +79,13 @@ class TestMinimize:
         t = build_trie(gen_parity(2))
         with pytest.raises(PreconditionViolated):
             minimize(t, gen_signal_locator(9, 3))
+
+    def test_walks_only_the_quotient_when_it_verifies(self, monkeypatch):
+        walked = []
+        monkeypatch.setattr(trie_module, "verify", lambda t, task: walked.append(t) or verify(t, task))
+        task = gen_signal_locator(9, 3)
+        m = minimize(build_trie(task), task)
+        assert walked == [m]
 
     def test_cyclic_machine_rejected(self):
         with pytest.raises(PreconditionViolated, match="cycle"):
