@@ -129,9 +129,9 @@ class TaskSpec:
             word = tuple(word)
             if not word:
                 raise TaskError("words must be non-empty")
-            for sym in word:
-                if sym not in inputs:
-                    raise UnknownSymbol(sym, self.input_alphabet)
+            if not inputs.issuperset(word):
+                sym = next(sym for sym in word if sym not in inputs)
+                raise UnknownSymbol(sym, self.input_alphabet)
             if out not in outputs:
                 raise UnknownSymbol(out, self.output_alphabet)
             if word in seen:
@@ -174,23 +174,24 @@ class Transducer:
         object.__setattr__(
             self, "output_alphabet", _check_alphabet(self.output_alphabet, "output")
         )
-        delta = tuple(tuple(row) for row in self.delta)
-        if len(delta) != self.n_states:
+        n, k = self.n_states, len(self.input_alphabet)
+        delta = tuple(map(tuple, self.delta))
+        if len(delta) != n:
             raise FstError("delta must have one row per state")
         for row in delta:
-            if len(row) != len(self.input_alphabet):
+            if len(row) != k:
                 raise FstError("delta rows must have one cell per input symbol")
             for cell in row:
-                if cell is not None and not (0 <= cell < self.n_states):
+                if cell is not None and not (0 <= cell < n):
                     raise FstError(f"delta target {cell} out of range")
         object.__setattr__(self, "delta", delta)
         omega = tuple(self.omega)
-        if len(omega) != self.n_states:
+        if len(omega) != n:
             raise FstError("omega must have one entry per state")
-        outputs = set(self.output_alphabet)
-        for out in omega:
-            if out is not None and out not in outputs:
-                raise UnknownSymbol(out, self.output_alphabet)
+        outputs = {None, *self.output_alphabet}
+        if not outputs.issuperset(omega):
+            out = next(out for out in omega if out not in outputs)
+            raise UnknownSymbol(out, self.output_alphabet)
         object.__setattr__(self, "omega", omega)
 
     @cached_property
@@ -214,16 +215,15 @@ def trajectory(t: Transducer, word: Sequence[str]) -> tuple[int, ...]:
     """Run word through t and return all |word|+1 visited states, the
     initial state first. This is the one walk through a machine; the
     oracle keeps its own, as the independent ground truth."""
-    idx = t.symbol_index
-    states = [0]
-    q = 0
-    for pos, sym in enumerate(word, start=1):
-        if sym not in idx:
+    idx, delta = t.symbol_index, t.delta
+    q, states = 0, [0]
+    for sym in word:
+        a = idx.get(sym)
+        if a is None:
             raise UnknownSymbol(sym, t.input_alphabet)
-        nxt = t.delta[q][idx[sym]]
-        if nxt is None:
-            raise UndefinedTransition(q, sym, pos)
-        q = nxt
+        q = delta[q][a]
+        if q is None:
+            raise UndefinedTransition(states[-1], sym, len(states))
         states.append(q)
     return tuple(states)
 

@@ -21,12 +21,9 @@ def serialize_transducer(t: Transducer) -> str:
         "@inputs " + " ".join(t.input_alphabet),
         "@outputs " + " ".join(t.output_alphabet),
     ]
-    for q in range(t.n_states):
-        out = t.omega[q] if t.omega[q] is not None else UNDEFINED_TOKEN
-        succs = " ".join(
-            UNDEFINED_TOKEN if c is None else str(c) for c in t.delta[q]
-        )
-        lines.append(f"{q} {out} {succs}".rstrip())
+    for q, (out, row) in enumerate(zip(t.omega, t.delta)):
+        succs = " ".join([UNDEFINED_TOKEN if c is None else str(c) for c in row])
+        lines.append(f"{q} {UNDEFINED_TOKEN if out is None else out} {succs}".rstrip())
     return "\n".join(lines) + "\n"
 
 

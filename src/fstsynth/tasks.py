@@ -125,7 +125,7 @@ def parse_task(text: str) -> TaskSpec:
             raise FormatError(lineno, "expected '<word> <output>'")
         raw_word, out = fields
         word = tuple(raw_word) if mode == "chars" else tuple(raw_word.split(","))
-        if any(not s for s in word):
+        if "" in word:
             raise FormatError(lineno, f"empty token in word {raw_word!r}")
         used["@inputs"].update(word)
         used["@outputs"].add(out)

@@ -1,7 +1,7 @@
 """Classical baseline: prefix trie over the task words, minimized by
-merging states with equal labelled subtrees, bottom-up, with multiple
-outputs and partial maps. `minimize` and the clique lower bound in
-`synth_table` read the same subtree-class table.
+merging states with equal labelled subtrees, found bottom-up in one
+depth-first pass, with multiple outputs and partial maps. `minimize` and
+the clique lower bound in `synth_table` read the same subtree-class table.
 
 Undefined successors are a distinguished class of their own, so a state
 with a defined a-successor never merges with one lacking it. Exploiting
@@ -38,29 +38,30 @@ def build_trie(task: TaskSpec) -> Transducer:
 
 def subtree_classes(t: Transducer) -> tuple[list[int], list[tuple]]:
     """The states of the acyclic t grouped by labelled subtree, in one
-    children-first peel: (cls, classes), where cls[q] is the class of state
-    q and classes[c] is (output, successor classes with -1 for undefined).
-    A class is numbered after the classes of its successors. Raises
-    PreconditionViolated if a cycle leaves states unplaced."""
-    parents: list[list[int]] = [[] for _ in range(t.n_states)]
-    pending = [0] * t.n_states
-    for u, row in enumerate(t.delta):
-        for c in row:
-            if c is not None:
-                parents[c].append(u)
-                pending[u] += 1
+    depth-first pass: (cls, classes), where cls[q] is the class of state q
+    and classes[c] is (output, successor classes with -1 for undefined).
+    A state is classed after its successors, so a class is numbered after
+    theirs. Roots go from the highest state down: `build_trie` numbers each
+    child after its parent, so in a trie no state waits on a successor. A
+    successor that is itself waiting raises PreconditionViolated (a cycle)."""
+    delta, omega = t.delta, t.omega
+    cls = [-2] * t.n_states  # -2: not classed yet
+    waiting = bytearray(t.n_states)  # set once a state waits; unclassed and set: on the path
     signatures: dict[tuple, int] = {}
-    cls = [0] * t.n_states
-    order = [u for u in range(t.n_states) if not pending[u]]
-    for u in order:  # grows while iterated
-        sig = (t.omega[u], tuple(-1 if c is None else cls[c] for c in t.delta[u]))
-        cls[u] = signatures.setdefault(sig, len(signatures))
-        for p in parents[u]:
-            pending[p] -= 1
-            if not pending[p]:
-                order.append(p)
-    if len(order) < t.n_states:
-        raise PreconditionViolated("the transducer has a cycle")
+    for root in range(t.n_states - 1, -1, -1):
+        path = [root] if cls[root] == -2 else []
+        while path:
+            u = path[-1]
+            succ = tuple([-1 if c is None else cls[c] for c in delta[u]])
+            if -2 in succ:  # u waits on its first successor not classed yet
+                waiting[u] = 1
+                c = delta[u][succ.index(-2)]
+                if waiting[c]:
+                    raise PreconditionViolated("the transducer has a cycle")
+                path.append(c)
+            else:
+                cls[u] = signatures.setdefault((omega[u], succ), len(signatures))
+                path.pop()
     return cls, list(signatures)
 
 
@@ -84,24 +85,26 @@ def minimize(t: Transducer, task: TaskSpec) -> Transducer:
     """Quotient the acyclic t by merging states with equal labelled
     subtrees: equal output and, per input symbol, equal successor classes
     (undefined successor counting as its own class). The classes come from
-    one children-first pass (Revuz, TCS 1992) and are numbered in
+    one depth-first pass (Revuz, TCS 1992) and are numbered in
     `breadth_first` order from the initial class; a cycle raises
     PreconditionViolated. The quotient map is checked to be a morphism, so
     the quotient gives t's output on every word, and t is walked through
     the task only when the quotient fails to verify: PreconditionViolated
     if t does not verify either, else CheckFailed."""
     cls, classes = subtree_classes(t)
-    number = {c: i for i, c in enumerate(breadth_first(cls, classes))}
-    for c in cls:  # unreachable classes (none for tries) go after, in state order
-        number.setdefault(c, len(number))
-    # the dict lists the classes in their new order
-    omega = [classes[c][0] for c in number]
-    delta = [[None if s < 0 else number[s] for s in classes[c][1]] for c in number]
+    order = list(breadth_first(cls, classes))
+    if len(order) < len(classes):  # unreachable classes (none for tries) go after, in state order
+        order = list(dict.fromkeys(order + cls))
+    number = [0] * len(classes)
+    for i, c in enumerate(order):
+        number[c] = i
+    omega = [classes[c][0] for c in order]
+    delta = [[None if s < 0 else number[s] for s in classes[c][1]] for c in order]
     # the quotient map must be a transducer morphism
     image = [number[c] for c in cls]
-    for q, row in enumerate(t.delta):
+    for q, (out, row) in enumerate(zip(t.omega, t.delta)):
         i = image[q]
-        if t.omega[q] != omega[i] or [None if s is None else image[s] for s in row] != delta[i]:
+        if out != omega[i] or [None if s is None else image[s] for s in row] != delta[i]:
             raise CheckFailed(f"state {q} does not agree with its class {i}")
     result = Transducer(len(classes), t.input_alphabet, t.output_alphabet, delta, omega)
     if not verify(result, task).ok:

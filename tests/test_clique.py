@@ -64,14 +64,18 @@ def test_clique_sizes(task, size):
 
 # each clique as computed on the minimized trie, before the clique read the
 # subtree-class table directly; its _Budget ticks: one per table row, per
-# union of a row and one per clique member
+# union of a row and one per clique member. A row takes one union per child
+# and per class numbered before the row that is incompatible with that
+# child, so the ticks follow the numbering of `subtree_classes`: its
+# depth-first pass gives these; the children-first peel it replaced gave
+# 133, 80, 60 and 80
 @pytest.mark.parametrize(
     "task, clique, ticks",
     [
-        (gen_zeroes_or_ones(6), ("0000", "0001", "0011", "0111", "1111"), 133),
-        (gen_palindrome(5), ("00", "01", "10", "11"), 80),
-        (gen_signal_locator(9, 3), ("0000001", "0000010", "0010000"), 60),
-        (word_classification(), ("eki", "asztal", "erudite"), 80),
+        (gen_zeroes_or_ones(6), ("0000", "0001", "0011", "0111", "1111"), 95),
+        (gen_palindrome(5), ("00", "01", "10", "11"), 60),
+        (gen_signal_locator(9, 3), ("0000001", "0000010", "0010000"), 42),
+        (word_classification(), ("eki", "asztal", "erudite"), 71),
     ],
     ids=["zo6", "pal5", "sl9-3", "words"],
 )

@@ -6,6 +6,7 @@ from conftest import tiny_tasks, total_transducers, word_st
 from fstsynth.core import (
     ContradictoryPair,
     EmptyTask,
+    FstError,
     InvalidPermutation,
     PreconditionViolated,
     TaskError,
@@ -54,9 +55,39 @@ class TestTaskSpec:
         with pytest.raises(UnknownSymbol):
             TaskSpec(("0",), ("a",), ((w("0"), "b"),))
 
+    def test_unknown_symbol_is_the_first_of_the_first_bad_word(self):
+        with pytest.raises(UnknownSymbol, match=r"^symbol 'x' not in alphabet \['0'\]$") as e:
+            TaskSpec(("0",), ("a",), ((w("00"), "a"), (w("0xy"), "a"), (w("z"), "a")))
+        assert e.value.symbol == "x"
+
     def test_reserved_undefined_marker_rejected(self):
         with pytest.raises(TaskError):
             TaskSpec(("-",), ("a",), (((("-",)), "a"),))
+
+
+class TestTransducerValidation:
+    def test_wrong_row_count(self):
+        with pytest.raises(FstError, match="^delta must have one row per state$"):
+            Transducer(2, ("a",), ("r",), ((0,),), ("r", None))
+
+    def test_wrong_row_length(self):
+        with pytest.raises(FstError, match="^delta rows must have one cell per input symbol$"):
+            Transducer(2, ("a", "b"), ("r",), ((0, 1), (1,)), ("r", None))
+
+    def test_target_out_of_range_is_the_first_in_row_order(self):
+        with pytest.raises(FstError, match="^delta target 5 out of range$"):
+            Transducer(2, ("a", "b"), ("r",), ((0, 5), (-1, 7)), ("r", None))
+        with pytest.raises(FstError, match="^delta target -1 out of range$"):
+            Transducer(2, ("a", "b"), ("r",), ((0, 1), (-1, 7)), ("r", None))
+
+    def test_wrong_output_count(self):
+        with pytest.raises(FstError, match="^omega must have one entry per state$"):
+            Transducer(2, ("a",), ("r",), ((1,), (None,)), ("r",))
+
+    def test_unknown_output_is_the_first_in_state_order(self):
+        with pytest.raises(UnknownSymbol, match=r"^symbol 'x' not in alphabet \['r'\]$") as e:
+            Transducer(3, ("a",), ("r",), ((1,), (2,), (None,)), (None, "x", "y"))
+        assert e.value.symbol == "x"
 
 
 class TestTrajectoryAndRun:

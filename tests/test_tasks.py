@@ -96,6 +96,11 @@ class TestTaskFormat:
         task = parse_task("@mode tokens\nfoo,bar baz\n")
         assert task.pairs == ((("foo", "bar"), "baz"),)
 
+    def test_tokens_mode_empty_token(self):
+        for word in ("foo,,bar", "foo,", ",foo"):
+            with pytest.raises(FormatError, match=f"^line 2: empty token in word '{word}'$"):
+                parse_task(f"@mode tokens\n{word} baz\n")
+
     def test_alphabet_overrides(self):
         task = parse_task("@inputs 0 1 2\n@outputs a b\n0 a\n")
         assert task.input_alphabet == ("0", "1", "2")

@@ -1,11 +1,13 @@
 import hashlib
+import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PARITY, tiny_tasks
 from fstsynth.cli import BENCH_ROWS
-from fstsynth.core import PreconditionViolated, TaskSpec, verify
+from fstsynth.core import PreconditionViolated, TaskSpec, Transducer, relabel, verify
 from fstsynth.serialize import serialize_transducer
 from fstsynth.synth_table import SearchConfig, synthesize_minimal
 from fstsynth.tasks import (
@@ -142,25 +144,75 @@ def test_subtree_classes_reject_a_cycle():
         subtree_classes(PARITY)
 
 
-@settings(max_examples=60, deadline=None)
-@given(tiny_tasks())
-def test_subtree_classes_are_suffix_functions(task):
-    trie = build_trie(task)
-    cls, classes = subtree_classes(trie)
+def test_subtree_classes_reject_a_cycle_reachable_only_from_a_high_state():
+    # 0 -> 1 is a trie; 2 <-> 3 is a cycle that only state 4 leads into
+    t = Transducer(5, ("a",), ("r",), ((1,), (None,), (3,), (2,), (2,)), (None, "r", None, None, None))
+    with pytest.raises(PreconditionViolated, match="cycle"):
+        subtree_classes(t)
+
+
+def test_subtree_classes_reject_a_self_loop():
+    t = Transducer(3, ("a", "b"), ("r",), ((1, 2), (None, 1), (None, None)), (None, None, "r"))
+    with pytest.raises(PreconditionViolated, match="cycle"):
+        subtree_classes(t)
+
+
+def test_subtree_classes_of_a_long_chain_numbered_leaf_first():
+    # 0 -> n-1 -> n-2 -> ... -> 1: every state waits on a lower-numbered
+    # one, so the whole chain goes on the path at once; no recursion and
+    # no quadratic on-path test
+    n = 200_000
+    delta = [(n - 1,), (None,)] + [(q - 1,) for q in range(2, n)]
+    omega = [None, "r"] + [None] * (n - 2)
+    chain = Transducer(n, ("a",), ("r",), delta, omega)
+    start = time.perf_counter()
+    cls, classes = subtree_classes(chain)
+    assert time.perf_counter() - start < 20  # about 0.4 s; quadratic would take minutes
+    assert cls == [n - 1] + list(range(n - 1))
+    assert classes[0] == ("r", (-1,)) and classes[n - 1] == (None, (n - 2,))
+
+
+def assert_suffix_classes(machine, task):
+    """subtree_classes(machine) against the task's suffix sets, computed
+    independently of the depth-first pass: each state's first prefix in a
+    breadth-first walk, then its set of (suffix, output) over the task
+    words. Holds for machines whose every state lies on a path to a task
+    word's end: tries and their quotients, relabelled or not."""
+    cls, classes = subtree_classes(machine)
     assert sorted(set(cls)) == list(range(len(classes)))
     for c, (_, successors) in enumerate(classes):
         assert all(s < c for s in successors)
-    # independent of the peel: each trie state's prefix, then its set of
-    # (suffix, output) over the task words
-    prefix = {0: ()}
-    for q in range(trie.n_states):  # a trie child has a larger number
-        for sym, child in zip(trie.input_alphabet, trie.delta[q]):
-            if child is not None:
+    prefix, queue = {0: ()}, [0]
+    for q in queue:  # grows while iterated
+        for sym, child in zip(machine.input_alphabet, machine.delta[q]):
+            if child is not None and child not in prefix:
                 prefix[child] = prefix[q] + (sym,)
+                queue.append(child)
+    assert len(prefix) == machine.n_states
     suffixes = [
         frozenset((w[len(p):], out) for w, out in task.pairs if w[: len(p)] == p)
-        for p in (prefix[q] for q in range(trie.n_states))
+        for p in (prefix[q] for q in range(machine.n_states))
     ]
-    for q in range(trie.n_states):
+    for q in range(machine.n_states):
         for r in range(q):
             assert (cls[q] == cls[r]) == (suffixes[q] == suffixes[r])
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_tasks())
+def test_subtree_classes_are_suffix_functions(task):
+    assert_suffix_classes(build_trie(task), task)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_tasks(max_pairs=8, max_len=4), st.randoms(use_true_random=False))
+def test_subtree_classes_of_machines_that_are_not_tries(task, rng):
+    trie = build_trie(task)
+    quotient = minimize(trie, task)  # breadth-first: a child may come before one of its parents
+    for machine in (quotient, trie):
+        perm = [0] + rng.sample(range(1, machine.n_states), machine.n_states - 1)
+        shuffled = relabel(machine, perm)
+        assert_suffix_classes(machine, task)
+        assert_suffix_classes(shuffled, task)
+        # the quotient's numbering reads only the classes, not the states
+        assert serialize_transducer(minimize(shuffled, task)) == serialize_transducer(quotient)
