@@ -259,8 +259,8 @@ def prune(t: Transducer, task: TaskSpec) -> Transducer:
     still verifies the task.
     """
     idx = t.symbol_index
-    used_cells: set[tuple[int, int]] = set()
-    used_outputs: set[int] = set()
+    delta = [[None] * len(t.input_alphabet) for _ in range(t.n_states)]
+    omega: list[Optional[str]] = [None] * t.n_states
     for word, out in task.pairs:
         try:
             states = trajectory(t, word)
@@ -268,16 +268,9 @@ def prune(t: Transducer, task: TaskSpec) -> Transducer:
             states = None
         if states is None or t.omega[states[-1]] != out:
             raise PreconditionViolated("prune requires a verifying transducer")
-        used_cells.update(zip(states, (idx[sym] for sym in word)))
-        used_outputs.add(states[-1])
-    delta = tuple(
-        tuple(t.delta[q][a] if (q, a) in used_cells else None
-              for a in range(len(t.input_alphabet)))
-        for q in range(t.n_states)
-    )
-    omega = tuple(
-        t.omega[q] if q in used_outputs else None for q in range(t.n_states)
-    )
+        for q, sym, r in zip(states, word, states[1:]):
+            delta[q][idx[sym]] = r
+        omega[states[-1]] = out
     return Transducer(t.n_states, t.input_alphabet, t.output_alphabet, delta, omega)
 
 

@@ -171,14 +171,13 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
     first in (state, symbol) order. Whichever cell is chosen, the states not
     yet used are interchangeable: no cell leaves them, no node sits on them
     and no mask names them. So trying the used states plus one fresh state
-    is complete. Choices sit on an explicit stack; each decision keeps a
-    copy of the states' masks and outputs from before it, and a trail of
-    the waiting lists appended to since, so trying its next candidate
-    restores both. A node is counted per candidate tried, a backtrack per
-    candidate withdrawn. The trie and table come from `tables`, else are
-    built after the level's clock starts, so the time budget and the stats
-    cover them (but not a table built before the call); the table's rows
-    and unions are not nodes.
+    is complete. Choices sit on an explicit stack; a cell's waiting nodes
+    form an immutable chain, so a decision undoes itself alone, restoring
+    its copy of the chains, masks and outputs from before it. A node is
+    counted per candidate tried, a backtrack per candidate withdrawn. The
+    trie and table come from `tables`, else are built after the level's
+    clock starts, so the time budget and the stats cover them (but not a
+    table built before the call); the table's rows and unions are not nodes.
     """
     if n < 1:
         raise FstError("n must be >= 1")
@@ -202,13 +201,12 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
     bit = [1 << c for c in key]
     excludes = [adj[c] for c in key]
     omega = trie.omega
-    delta: list[list[Optional[int]]] = [[None] * len(kids[0]) for _ in range(n)]
-    # per cell, its waiting nodes as (node, mask of their keys, words through them)
-    waiting: list[list[list[tuple]]] = [[[] for _ in kids[0]] for _ in range(n)]
+    k = len(kids[0])
+    delta: list[Optional[int]] = [None] * (n * k)  # cell q * k + a
+    # per cell, None or the chain (node, mask of the chain's keys, words through it, rest)
+    waiting: list[Optional[tuple]] = [None] * (n * k)
     excluded = [0] * n
     outputs: list[Optional[str]] = [None] * n
-    trail: list[list] = []  # the waiting lists appended to, in order
-    push = trail.append
 
     def place(walk: list[tuple[int, int]]) -> bool:
         while walk:
@@ -220,17 +218,15 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
                 excluded[q] = ex | excludes[u]
                 if omega[u] is not None:
                     outputs[q] = omega[u]
-                row = delta[q]
                 v = r = -1
-                for a, c in enumerate(kids[u]):
+                for cell, c in enumerate(kids[u], q * k):
                     if c is None:
                         continue
-                    t = row[a]
+                    t = delta[cell]
                     if t is None:
-                        cell = waiting[q][a]
-                        _, mask, weight = cell[-1] if cell else (c, 0, 0)
-                        cell.append((c, mask | bit[c], weight + words[c]))
-                        push(cell)
+                        rest = waiting[cell]
+                        mask, weight = (0, 0) if rest is None else rest[1:3]
+                        waiting[cell] = (c, mask | bit[c], weight + words[c], rest)
                     elif v < 0:
                         v, r = c, t
                     else:
@@ -241,47 +237,51 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
     place([(0, 0)])
     next_check = budget.next_check
     nodes = backtracks = hi = 0
-    # [state, symbol, candidates, next index, trail mark, hi, excluded and outputs before]
+    # [cell, candidates, next index, hi, waiting, excluded and outputs before]
     frames: list[list] = []
     while True:
-        best = None  # (admissible count, -words through the cell, state, symbol, mask)
+        best = None  # (admissible count, -words through the cell, cell, mask)
         top = min(hi + 2, n)
         masks = excluded[:top]  # of the states in use and one fresh state
-        for s in range(hi + 1):
-            for a, cell in enumerate(waiting[s]):
-                if cell and delta[s][a] is None:
-                    _, mask, weight = cell[-1]
-                    count = sum(not ex & mask for ex in masks)
-                    if best is None or (count, -weight) < best[:2]:
-                        best = (count, -weight, s, a, mask)
+        for cell in range((hi + 1) * k):
+            chain = waiting[cell]
+            if chain is not None:
+                _, mask, weight, _ = chain
+                count = sum(not ex & mask for ex in masks)
+                if best is None or (count, -weight) < best[:2]:
+                    best = (count, -weight, cell, mask)
         if best is None:
             break
-        _, _, s, a, mask = best
+        _, _, cell, mask = best
         candidates = [t for t in range(top) if not excluded[t] & mask]
-        frames.append([s, a, candidates, 0, len(trail), hi, excluded[:], outputs[:]])
+        frames.append([cell, candidates, 0, hi, waiting[:], excluded[:], outputs[:]])
         while frames:
             frame = frames[-1]
-            s, a, candidates, i, mark, hi, excluded[:], outputs[:] = frame
-            for _ in range(len(trail) - mark):
-                trail.pop().pop()
-            delta[s][a] = None
+            cell, candidates, i, hi, waiting[:], excluded[:], outputs[:] = frame
+            delta[cell] = None
             backtracks += i > 0  # the candidate tried last is withdrawn
             if i == len(candidates):
                 frames.pop()
                 continue
-            frame[3] = i + 1
+            frame[2] = i + 1
             nodes += 1
             if nodes >= next_check:
                 next_check = budget.check(nodes, backtracks)
             t = candidates[i]
             hi = max(hi, t)
-            delta[s][a] = t
-            if place([(c, t) for c, _, _ in waiting[s][a]]):
+            delta[cell] = t
+            chain, waiting[cell] = waiting[cell], None  # no node waits on a bound cell
+            walk = []
+            while chain is not None:
+                c, _, _, chain = chain
+                walk.append((c, t))
+            if place(walk):
                 break
         else:
             return SearchOutcome(n=n, witness=None, stats=budget.stats(nodes, backtracks))
     stats = budget.stats(nodes, backtracks)
-    witness = totalize(Transducer(n, task.input_alphabet, task.output_alphabet, delta, outputs))
+    rows = [delta[q * k : q * k + k] for q in range(n)]
+    witness = totalize(Transducer(n, task.input_alphabet, task.output_alphabet, rows, outputs))
     if not verify(witness, task).ok:
         raise CheckFailed("search produced a non-verifying witness")
     return SearchOutcome(n=n, witness=witness, stats=stats)

@@ -177,17 +177,35 @@ class TestPrune:
         assert defined_map_count(pruned) == (1, 1)
 
     def test_delta_count_matches_distinct_steps(self):
-        task = gen_parity(2)
-        pruned = prune(
-            Transducer(2, ("0", "1"), ("0", "1"), ((0, 1), (1, 0)), ("0", "1")),
-            task,
+        from fstsynth.cli import BENCH_ROWS
+        from fstsynth.synth_table import synthesize_minimal
+
+        parity = Transducer(2, ("0", "1"), ("0", "1"), ((0, 1), (1, 0)), ("0", "1"))
+        # no task word reaches state 2: its cells and its output go
+        unreachable = Transducer(
+            3, ("0", "1"), ("0", "1"), ((0, 1), (1, 0), (2, 0)), ("0", "1", "0")
         )
-        steps = set()
-        for word, _ in task.pairs:
-            traj = trajectory(pruned, word)
-            for i, sym in enumerate(word):
-                steps.add((traj[i], sym))
-        assert defined_map_count(pruned)[0] == len(steps)
+        cases = [(parity, gen_parity(2)), (unreachable, gen_parity(3))]
+        for _, make_task, *_ in BENCH_ROWS:
+            task = make_task()
+            cases.append((synthesize_minimal(task)[1], task))
+        for t, task in cases:
+            steps, ends = {}, {}
+            for word, out in task.pairs:
+                traj = trajectory(t, word)
+                for q, sym, r in zip(traj, word, traj[1:]):
+                    steps[q, t.input_alphabet.index(sym)] = r
+                ends[traj[-1]] = out
+            pruned = prune(t, task)
+            cells = {
+                (q, a): r
+                for q, row in enumerate(pruned.delta)
+                for a, r in enumerate(row)
+                if r is not None
+            }
+            assert cells == steps
+            assert {q: o for q, o in enumerate(pruned.omega) if o is not None} == ends
+            assert defined_map_count(pruned)[0] == len(steps)
 
 
 class TestTotalize:

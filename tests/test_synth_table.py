@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -8,6 +9,7 @@ from conftest import sorted_pairs, tiny_tasks
 from fstsynth import synth_table
 from fstsynth.core import FstError, TaskSpec, Transducer, verify
 from fstsynth.oracle import oracle_sat
+from fstsynth.serialize import serialize_transducer
 from fstsynth.synth_table import (
     BudgetExhausted,
     _Budget,
@@ -132,12 +134,23 @@ class TestSearchCore:
             (gen_signal_locator(8, 4), 5, (246, 246)),
             (gen_signal_locator(9, 3), 5, (192, 183)),
             (word_classification(), 3, (42, 13)),
+            # deep levels, undone across many decisions
+            (gen_palindrome(5), 7, (1_534, 1_534)),
+            (gen_palindrome(6), 8, (4_035, 4_035)),
+            (gen_palindrome(6), 9, (12_451, 12_451)),
+            (gen_palindrome(6), 10, (7_354, 7_334)),
         ],
-        ids=["pal4-4", "zo4-3", "sl8-4-5", "sl9-3-5", "words-3"],
+        ids=["pal4-4", "zo4-3", "sl8-4-5", "sl9-3-5", "words-3", "pal5-7", "pal6-8", "pal6-9", "pal6-10"],
     )
     def test_pinned_counts(self, task, n, table):
         stats = synthesize_at(task, n).stats
         assert (stats.nodes, stats.backtracks) == table
+
+    def test_pinned_deep_witness(self):
+        # sha256 of the FST/1 text of the palindrome 6 witness at 10 states
+        witness = synthesize_at(gen_palindrome(6), 10).witness
+        digest = hashlib.sha256(serialize_transducer(witness).encode()).hexdigest()
+        assert digest == "c6dac165cf9d492761bc2683bf50df4c7e857365acd3ff8f5e7c0c2b56c03b9d"
 
     @pytest.mark.parametrize(
         "pairs, n, table, delta, omega",
