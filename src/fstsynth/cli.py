@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[machine], help="synthesize a state-minimal transducer")
     p.add_argument("--max-states", type=int, default=16)
-    p.add_argument("--budget-nodes", type=int, default=None)
+    p.add_argument("--budget-nodes", type=int, default=None, help="search nodes per state count")
     p.add_argument("--budget-seconds", type=float, default=None)
 
     p = sub.add_parser("trie", parents=[machine], help="build (and optionally minimize) the prefix trie")

@@ -94,22 +94,21 @@ def search_space_size(n: int, alphabet_size: int, output_size: int) -> int:
 
 
 class _Budget:
-    """Node and time limits of one level. `check` raises BudgetExhausted at
-    a limit and returns the node count to call it at next: one past the node
-    limit or 4096 on, as a clock read per node would dominate. The search
-    counts its own nodes; the clique calls `tick` once per table row, per
-    union of a row and per member. The search's table build calls `clock`
-    for each of those: they are not search nodes, so only the time limit
-    applies to them."""
+    """Node and time limits of one level. A node is a search decision: the
+    search counts its own and calls `check`, which raises BudgetExhausted at
+    a limit and returns the node count to call it at next, one past the node
+    limit or 4096 on, as a clock read per node would dominate. Building the
+    class table and growing the clique are not search: they call `clock`,
+    which reads the time every 4096 calls, so only the time limit applies to
+    them and running out there reports 0 nodes."""
 
-    __slots__ = ("node_limit", "start", "deadline", "nodes", "next_check", "n")
+    __slots__ = ("node_limit", "start", "deadline", "nodes", "n")
 
     def __init__(self, cfg: SearchConfig, n: int):
         self.node_limit = cfg.node_budget if cfg.node_budget is not None else float("inf")
         self.start = time.monotonic()
         self.deadline = self.start + cfg.time_budget if cfg.time_budget is not None else None
-        self.nodes = 0
-        self.next_check = min(self.node_limit + 1, 4096)
+        self.nodes = 0  # calls of `clock`
         self.n = n
 
     def check(self, nodes: int, backtracks: int) -> int:
@@ -119,13 +118,8 @@ class _Budget:
             raise BudgetExhausted("time", self.n, self.stats(nodes, backtracks))
         return min(self.node_limit + 1, nodes + 4096)
 
-    def tick(self):
-        self.nodes += 1
-        if self.nodes >= self.next_check:
-            self.next_check = self.check(self.nodes, 0)  # the clique search withdraws no choice
-
     def clock(self):
-        self.nodes += 1  # the search counts its nodes apart
+        self.nodes += 1
         if not self.nodes % 4096:
             self.check(0, 0)
 
@@ -146,11 +140,11 @@ class _Tables:
                     words[u] += words[c]
         self._table: Optional[tuple] = None
 
-    def table(self, tick) -> tuple[list[int], list[tuple], list[int]]:
-        """`subtree_classes` and their `incompatibility_table`; the build calls `tick`."""
+    def table(self, clock) -> tuple[list[int], list[tuple], list[int]]:
+        """`subtree_classes` and their `incompatibility_table`; the build calls `clock`."""
         if self._table is None:
             cls, classes = subtree_classes(self.trie)
-            self._table = cls, classes, incompatibility_table(classes, tick)
+            self._table = cls, classes, incompatibility_table(classes, clock)
         return self._table
 
 
@@ -177,7 +171,7 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
     counted per candidate tried, a backtrack per candidate withdrawn. The
     trie and table come from `tables`, else are built after the level's
     clock starts, so the time budget and the stats cover them (but not a
-    table built before the call); the table's rows and unions are not nodes.
+    table built before the call); building the table is not a node.
     """
     if n < 1:
         raise FstError("n must be >= 1")
@@ -235,7 +229,7 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
         return True
 
     place([(0, 0)])
-    next_check = budget.next_check
+    next_check = min(budget.node_limit + 1, 4096)
     nodes = backtracks = hi = 0
     # [cell, candidates, next index, hi, waiting, excluded and outputs before]
     frames: list[list] = []
@@ -294,17 +288,18 @@ def _bits(x: int):
         x ^= low
 
 
-def _max_clique(adj: list[int], budget: _Budget) -> list[int]:
-    """A clique of the graph with bitset adjacency `adj`, grown greedily:
-    each member is the candidate with the most candidate neighbours, and
-    each member ticks `budget`. Any clique is a valid lower bound; an exact
+def _max_clique(adj: list[int], order: list[int], budget: _Budget) -> list[int]:
+    """A clique of the graph with bitset adjacency `adj` over the vertices
+    in `order`, grown greedily: each member is the candidate with the most
+    candidate neighbours, ties to the first in `order`, and each member
+    calls `budget.clock`. Any clique is a valid lower bound; an exact
     maximum costs seconds on tasks of a thousand classes and was no larger
     on any family task."""
     clique: list[int] = []
-    cand = (1 << len(adj)) - 1
+    cand = sum(1 << v for v in order)
     while cand:
-        budget.tick()
-        v = max(_bits(cand), key=lambda u: (adj[u] & cand).bit_count())
+        budget.clock()
+        v = max((u for u in order if cand >> u & 1), key=lambda u: (adj[u] & cand).bit_count())
         clique.append(v)
         cand &= adj[v]
     return clique
@@ -324,7 +319,7 @@ def check_clique(task: TaskSpec, clique: tuple[Word, ...]) -> None:
                 raise CheckFailed(f"clique prefixes {p!r} and {r!r} are compatible")
 
 
-def incompatibility_table(classes: list[tuple], tick) -> list[int]:
+def incompatibility_table(classes: list[tuple], clock) -> list[int]:
     """The incompatibility relation over the classes of `trie.subtree_classes`
     as bitset rows: classes u and v are incompatible if both have outputs
     that differ, or some symbol a leads to an incompatible pair of children.
@@ -334,7 +329,7 @@ def incompatibility_table(classes: list[tuple], tick) -> list[int]:
     `parents[a][x]` (the classes whose a-child is x) over the x incompatible
     with cu. No class is incompatible with itself. The work grows with the
     classes and the incompatible child pairs, not with all pairs of classes:
-    `tick` is called once per row and once per union."""
+    `clock` is called once per row and once per union."""
     by_output: dict[str, int] = {}
     parents = [[0] * len(classes) for _ in classes[0][1]]  # per symbol
     for v, (o, succ) in enumerate(classes):
@@ -346,13 +341,13 @@ def incompatibility_table(classes: list[tuple], tick) -> list[int]:
     defined = sum(by_output.values())
     adj = [0] * len(classes)
     for u, (ou, su) in enumerate(classes):
-        tick()
+        clock()
         row = 0 if ou is None else defined ^ by_output[ou]
         for a, cu in enumerate(su):
             if cu >= 0:
                 column = parents[a]
                 for x in _bits(adj[cu]):
-                    tick()
+                    clock()
                     row |= column[x]
         row &= (1 << u) - 1
         adj[u] = row
@@ -369,22 +364,20 @@ def incompatibility_clique(task: TaskSpec, budget: Optional[_Budget] = None, tab
     states than the clique has members (Heule & Verwer, ICGI 2010).
 
     The graph is `incompatibility_table` over the classes of the prefix
-    trie, renumbered as `trie.minimize` numbers its states: prefixes in one
-    class share their suffix function, so a clique of classes is one of
-    prefixes. The clique is grown greedily, so it may fall short of the
-    largest; the search then refutes the levels in between. The rows and
-    unions of a table not yet built and each member tick `budget`."""
+    trie: prefixes in one class share their suffix function, so a clique of
+    classes is one of prefixes. The clique is grown greedily, ties to the
+    first class in `trie.breadth_first` order, so it may fall short of the
+    largest; the search then refutes the levels in between. Building a table
+    not yet built and growing the clique call `budget.clock`: only its time
+    limit applies, as neither is a search node."""
     if budget is None:
         budget = _Budget(SearchConfig(), 0)
-    cls, classes, table = (tables or _Tables(task)).table(budget.tick)
+    cls, classes, table = (tables or _Tables(task)).table(budget.clock)
     parent = breadth_first(cls, classes)
-    order = list(parent)
-    vertex = {c: i for i, c in enumerate(order)}
-    adj = [sum(1 << vertex[d] for d in _bits(table[c])) for c in order]
     members = []
-    for v in _max_clique(adj, budget):
+    for c in _max_clique(table, list(parent), budget):
         # the first shortest word to the class, spelled back from its parents
-        word, c = [], order[v]
+        word = []
         while parent[c] is not None:
             p = parent[c]
             word.append(task.input_alphabet[classes[p][1].index(c)])

@@ -34,7 +34,9 @@ probes = [
     ("synth_table", synth_table, "verify", fails, lambda: synth_table.synthesize_at(task, 2)),
     ("oracle", oracle, "verify", fails, lambda: oracle.oracle_sat(task, 2)),
     ("minimize", trie, "verify", fails_once(), lambda: trie.minimize(trie.build_trie(task), task)),
-    ("clique", synth_table, "_max_clique", lambda adj, budget: list(range(len(adj))),
+    ("morphism", trie, "subtree_classes", lambda t: ([0] * t.n_states, [(None, (0, 0))]),
+     lambda: trie.minimize(trie.build_trie(task), task)),
+    ("clique", synth_table, "_max_clique", lambda adj, order, budget: order,
      lambda: synth_table.incompatibility_clique(gen_zeroes_or_ones(4))),
     ("bench", cli, "synthesize_minimal", lambda task, cfg: (99, None, []), lambda: cli.bench_table()),
 ]
@@ -44,8 +46,8 @@ for name, module, attr, replacement, call in probes:
     try:
         call()
         print(name, "missed")
-    except CheckFailed:
-        print(name, "raised")
+    except CheckFailed as e:
+        print(name, "raised:", e)
     finally:
         setattr(module, attr, original)
 
@@ -62,11 +64,12 @@ def test_checks_survive_python_O():
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     assert lines == [
-        "synth_table raised",
-        "oracle raised",
-        "minimize raised",
-        "clique raised",
-        "bench raised",
+        "synth_table raised: search produced a non-verifying witness",
+        "oracle raised: oracle produced a non-verifying witness",
+        "minimize raised: the minimized transducer does not verify",
+        "morphism raised: state 2 does not agree with its class 0",
+        "clique raised: clique prefixes ('0',) and () are compatible",
+        "bench raised: Signal Locator 9-3: minimal 99 <= minimized 27 <= trie 54 does not hold",
         "entry exit 3",
     ]
     assert result.stderr.startswith("internal error: CheckFailed: ")

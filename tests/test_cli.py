@@ -171,6 +171,13 @@ class TestSynth:
         bad.write_text("01 1\n01 0\n")
         assert main(["synth", str(bad)]) == 2
 
+    def test_mode_after_a_pair(self, tmp_path, capsys):
+        bad = tmp_path / "bad.io"
+        bad.write_text("01 1\n@mode tokens\n")
+        assert main(["synth", str(bad), "-o", str(tmp_path / "out.fst")]) == 2
+        assert "line 2: @mode must precede pair lines" in capsys.readouterr().err
+        assert not (tmp_path / "out.fst").exists()
+
 
 class TestTrie:
     def test_counts(self, tmp_path, capsys):
@@ -434,6 +441,14 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9 ")
+
+    def test_unknown_directive(self, tmp_path, capsys):
+        path = tmp_path / "bad.fst"
+        path.write_text("@states 1\n@inputs 0\n@outputs a\n@bogus\n0 a 0\n")
+        assert main(["run", str(path), "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 4: unknown directive @bogus" in captured.err
 
     def test_non_numeric_successor(self, tmp_path, capsys):
         path = tmp_path / "bad.fst"

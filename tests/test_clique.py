@@ -63,10 +63,10 @@ def test_clique_sizes(task, size):
 
 
 # each clique as computed on the minimized trie, before the clique read the
-# subtree-class table directly; its _Budget ticks: one per table row, per
-# union of a row and one per clique member. A row takes one union per child
-# and per class numbered before the row that is incompatible with that
-# child, so the ticks follow the numbering of `subtree_classes`: its
+# subtree-class table directly; its _Budget clock calls ("ticks"): one per
+# table row, per union of a row and one per clique member. A row takes one
+# union per child and per class numbered before the row that is incompatible
+# with that child, so the ticks follow the numbering of `subtree_classes`: its
 # depth-first pass gives these; the children-first peel it replaced gave
 # 133, 80, 60 and 80
 @pytest.mark.parametrize(
@@ -144,12 +144,12 @@ def test_certified_levels_agree_with_the_search():
 
 
 def test_clique_budget_is_reported_as_budget():
-    task = gen_palindrome(6)  # n=2 takes 8 nodes, the clique several hundred ticks
+    # n=2 takes 8 nodes; the clique certifies 3 to 7 and counts no nodes
+    task = gen_palindrome(6)
     with pytest.raises(BudgetExhausted) as info:
         synthesize_minimal(task, SearchConfig(node_budget=100))
-    assert info.value.n == 3 and info.value.stats.nodes == 101
-    with pytest.raises(BudgetExhausted):
-        incompatibility_clique(task, _Budget(SearchConfig(node_budget=10), 3))
+    assert info.value.n == 8 and info.value.stats.nodes == 101
+    assert len(incompatibility_clique(task, _Budget(SearchConfig(node_budget=10), 3))) == 8
 
 
 def test_bad_certificate_is_rejected(monkeypatch):
@@ -157,7 +157,7 @@ def test_bad_certificate_is_rejected(monkeypatch):
     with pytest.raises(CheckFailed):
         check_clique(task, (("0",), ("0", "0")))
     # a "clique" of every class holds compatible pairs
-    monkeypatch.setattr(synth_table, "_max_clique", lambda adj, budget: list(range(len(adj))))
+    monkeypatch.setattr(synth_table, "_max_clique", lambda adj, order, budget: order)
     with pytest.raises(CheckFailed):
         incompatibility_clique(task)
 
@@ -221,7 +221,7 @@ def test_sparse_table_ticks_far_fewer_than_class_pairs():
     task = _labelled_task(0, 60, 6, 12)
     _, classes = subtree_classes(build_trie(task))
     budget = _Budget(SearchConfig(), 0)
-    incompatibility_table(classes, budget.tick)
+    incompatibility_table(classes, budget.clock)
     assert budget.nodes < len(classes) ** 2 / 10
 
 

@@ -64,8 +64,24 @@ class TestTaskSpec:
         with pytest.raises(TaskError):
             TaskSpec(("-",), ("a",), (((("-",)), "a"),))
 
+    @pytest.mark.parametrize(
+        "inputs, outputs, message",
+        [
+            (("0", "1", "0"), ("a",), "duplicate input symbol '0'"),
+            (("0",), ("a", "a"), "duplicate output symbol 'a'"),
+        ],
+        ids=["input", "output"],
+    )
+    def test_duplicate_symbol_rejected(self, inputs, outputs, message):
+        with pytest.raises(TaskError, match=f"^{message}$"):
+            TaskSpec(inputs, outputs, ((w("0"), "a"),))
+
 
 class TestTransducerValidation:
+    def test_no_states(self):
+        with pytest.raises(FstError, match="^a transducer needs at least one state$"):
+            Transducer(0, ("a",), ("r",), (), ())
+
     def test_wrong_row_count(self):
         with pytest.raises(FstError, match="^delta must have one row per state$"):
             Transducer(2, ("a",), ("r",), ((0,),), ("r", None))

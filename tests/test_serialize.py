@@ -59,6 +59,22 @@ def test_non_numeric_field(text, line):
     assert info.value.lineno == line
 
 
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("@states 1\n@bogus\n@inputs 0\n@outputs a\n0 a 0\n", 2, "unknown directive @bogus"),
+        ("@states 2\n@inputs 0\n@outputs a\n0 a 0\n", 0, "expected 2 body lines, got 1"),
+        ("@states 1\n@inputs 0\n@outputs a\n1 a 0\n", 4, "bad or repeated state 1"),
+        ("@states 2\n@inputs 0\n@outputs a\n0 a 1\n0 a 0\n", 5, "bad or repeated state 0"),
+    ],
+    ids=["unknown-directive", "body-count", "state-out-of-range", "state-repeated"],
+)
+def test_malformed_machine(text, line, message):
+    with pytest.raises(FormatError, match=f"^line {line}: {message}$") as info:
+        parse_transducer(text)
+    assert info.value.lineno == line
+
+
 def test_nonzero_initial_rejected():
     text = "@states 1\n@initial 1\n@inputs 0\n@outputs a\n0 a 0\n"
     with pytest.raises(FormatError):

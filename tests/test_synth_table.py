@@ -54,6 +54,19 @@ class TestBounds:
         assert search_space_size(5, 2, 2) == 5**10 * 2**5
         assert search_space_size(1, 1, 1) == 1
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: SearchConfig(max_states=0), "max_states must be >= 1"),
+            (lambda: synthesize_at(gen_parity(2), 0), "n must be >= 1"),
+            (lambda: variable_count(0, 1), "n and alphabet_size must be >= 1"),
+        ],
+        ids=["max-states", "synthesize-at", "variable-count"],
+    )
+    def test_sizes_below_one_are_refused(self, call, message):
+        with pytest.raises(FstError, match=f"^{message}$"):
+            call()
+
 
 class TestSynthesizeAt:
     def test_parity_at_two(self):
@@ -222,7 +235,7 @@ class TestSearchCore:
         budget = _Budget(SearchConfig(time_budget=0), 3)
         with pytest.raises(BudgetExhausted, match="time"):
             for _ in range(4096):
-                budget.tick()
+                budget.clock()
 
     def test_nan_time_budget_is_refused(self):
         # NaN compares false with everything, so it would set no limit

@@ -48,6 +48,18 @@ class TestGenerators:
         outs = [o for _, o in task.pairs]
         assert sorted(outs) == ["1", "1", "2", "2", "3", "3", "4", "4"]
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: gen_palindrome(0), "length must be >= 1"),
+            (lambda: gen_signal_locator(0, 1), "n and k must be >= 1"),
+        ],
+        ids=["palindrome-0", "signal-locator-0-1"],
+    )
+    def test_sizes_below_one_are_refused(self, make, message):
+        with pytest.raises(FstError, match=f"^{message}$"):
+            make()
+
     def test_signal_locator_nondivisible(self):
         with pytest.raises(NonDivisible):
             gen_signal_locator(9, 4)
@@ -113,6 +125,19 @@ class TestTaskFormat:
     def test_bad_directive(self):
         with pytest.raises(FormatError):
             parse_task("@bogus x\n0 a\n")
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("@mode bytes\n0 a\n", 1, "@mode must be chars or tokens"),
+            ("0 a\n@mode tokens\n1 b\n", 2, "@mode must precede pair lines"),
+        ],
+        ids=["unknown-mode", "mode-after-pair"],
+    )
+    def test_malformed_mode(self, text, line, message):
+        with pytest.raises(FormatError, match=f"^line {line}: {message}$") as e:
+            parse_task(text)
+        assert e.value.lineno == line
 
     def test_bad_pair_line(self):
         with pytest.raises(FormatError) as e:

@@ -77,6 +77,15 @@ class TestMinimize:
             m = minimize(build_trie(task), task)
             assert minimize(m, task).n_states == m.n_states
 
+    def test_unreachable_class_goes_last(self):
+        # state 2 is reached by no word and has a subtree of its own
+        t = Transducer(3, ("a",), ("r", "s"), ((1,), (None,), (None,)), (None, "r", "s"))
+        task = TaskSpec(("a",), ("r", "s"), ((w("a"), "r"),))
+        m = minimize(t, task)
+        assert m == t  # the unreachable class keeps the last number
+        assert verify(m, task).ok
+        assert minimize(m, task) == m
+
     def test_requires_verifying_machine(self):
         t = build_trie(gen_parity(2))
         with pytest.raises(PreconditionViolated):
