@@ -2,13 +2,15 @@
 
 The search places the nodes of the prefix trie on states, binding one
 transition cell per decision: fail-first, ties to the cell that routes the
-most task words (Brélaz's degree rule, CACM 1979). Every placement is
-checked against the prefixes already on its state: two prefixes that a
-common suffix completes to different outputs never share one (Heule &
-Verwer, ICGI 2010). Candidate states are those in use plus one fresh
-state, so an exhausted search is a valid unsatisfiability certificate, and
-a clique of such prefixes certifies every state count below its size with
-no search.
+most task words (Brélaz's degree rule, CACM 1979). At the output count it
+walks the trie itself; above it, the DAG of the trie's subtree classes
+(Revuz, TCS 1992), as all it reads of a node is fixed by its class. Every
+placement is checked against the prefixes already on its state: two
+prefixes that a common suffix completes to different outputs never share
+one (Heule & Verwer, ICGI 2010). Candidate states are those in use plus
+one fresh state, so an exhausted search is a valid unsatisfiability
+certificate, and a clique of such prefixes certifies every state count
+below its size with no search.
 """
 
 from __future__ import annotations
@@ -102,13 +104,13 @@ class _Budget:
     which reads the time every 4096 calls, so only the time limit applies to
     them and running out there reports 0 nodes."""
 
-    __slots__ = ("node_limit", "start", "deadline", "nodes", "n")
+    __slots__ = ("node_limit", "start", "deadline", "clocks", "n")
 
     def __init__(self, cfg: SearchConfig, n: int):
         self.node_limit = cfg.node_budget if cfg.node_budget is not None else float("inf")
         self.start = time.monotonic()
         self.deadline = self.start + cfg.time_budget if cfg.time_budget is not None else None
-        self.nodes = 0  # calls of `clock`
+        self.clocks = 0  # calls of `clock`
         self.n = n
 
     def check(self, nodes: int, backtracks: int) -> int:
@@ -119,8 +121,8 @@ class _Budget:
         return min(self.node_limit + 1, nodes + 4096)
 
     def clock(self):
-        self.nodes += 1
-        if not self.nodes % 4096:
+        self.clocks += 1
+        if not self.clocks % 4096:
             self.check(0, 0)
 
     def stats(self, nodes: int, backtracks: int) -> SearchStats:
@@ -140,12 +142,25 @@ class _Tables:
                     words[u] += words[c]
         self._table: Optional[tuple] = None
 
-    def table(self, clock) -> tuple[list[int], list[tuple], list[int]]:
-        """`subtree_classes` and their `incompatibility_table`; the build calls `clock`."""
+    def table(self, clock) -> tuple[list[int], list[tuple], list[int], tuple]:
+        """`subtree_classes`, their `incompatibility_table` and their
+        `class_graph`; only the table build calls `clock`."""
         if self._table is None:
             cls, classes = subtree_classes(self.trie)
-            self._table = cls, classes, incompatibility_table(classes, clock)
+            self._table = cls, classes, incompatibility_table(classes, clock), class_graph(classes)
         return self._table
+
+
+def class_graph(classes: list[tuple]) -> tuple[list, list[int], list[int], list]:
+    """Per class of `subtree_classes`: its (symbol, child class) pairs with
+    undefined children left out, the task words through its subtree (the
+    classes are numbered children first), its bit and its output."""
+    kids, words = [], []
+    for o, succ in classes:
+        pairs = [(a, c) for a, c in enumerate(succ) if c >= 0]
+        kids.append(pairs)
+        words.append((o is not None) + sum(words[c] for _, c in pairs))
+    return kids, words, [1 << c for c in range(len(classes))], [o for o, _ in classes]
 
 
 def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *, tables=None) -> SearchOutcome:
@@ -155,23 +170,28 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
     outcome only after exhausting the symmetry-reduced space; below the
     output count, with no search and a clique of one word per output.
 
-    The root of the trie `build_trie` builds sits on state 0; every other
-    node waits on the cell (its parent's state, its symbol), and binding
-    that cell places all its waiting nodes, each walking on through bound
-    cells. A state keeps the mask of keys its nodes exclude: outputs at the
-    output-count level, classes of `incompatibility_table` above it. Each
-    decision binds the open cell with the fewest admissible states; ties go
-    to the cell whose waiting nodes carry the most task words, then to the
-    first in (state, symbol) order. Whichever cell is chosen, the states not
-    yet used are interchangeable: no cell leaves them, no node sits on them
-    and no mask names them. So trying the used states plus one fresh state
-    is complete. Choices sit on an explicit stack; a cell's waiting nodes
-    form an immutable chain, so a decision undoes itself alone, restoring
-    its copy of the chains, masks and outputs from before it. A node is
-    counted per candidate tried, a backtrack per candidate withdrawn. The
-    trie and table come from `tables`, else are built after the level's
-    clock starts, so the time budget and the stats cover them (but not a
-    table built before the call); building the table is not a node.
+    The graph walked is the trie `build_trie` builds at the output count
+    and the DAG of its `subtree_classes` above it: there a node's key is its
+    class, and its output, its word count and its children's classes are
+    fixed by it, so walking class ids (children from `class_graph`) makes
+    the decisions walking trie nodes would. The root sits on state 0; every
+    other node waits on the cell (its parent's state, its symbol), and
+    binding that cell places all its waiting nodes, each walking on through
+    bound cells. A state keeps the mask of keys its nodes exclude: outputs
+    at the output-count level, classes of `incompatibility_table` above it.
+    Each decision binds the open cell with the fewest admissible states;
+    ties go to the cell whose waiting nodes carry the most task words, then
+    to the first in (state, symbol) order. Whichever cell is chosen, the
+    states not yet used are interchangeable: no cell leaves them, no node
+    sits on them and no mask names them. So trying the used states plus one
+    fresh state is complete. Choices sit on an explicit stack; a cell's
+    waiting nodes form an immutable chain, so a decision undoes itself
+    alone, restoring its copy of the chains, masks and outputs from before
+    it. A node is counted per candidate tried, a backtrack per candidate
+    withdrawn. The trie and table come from `tables`, else are built after
+    the level's clock starts, so the time budget and the stats cover them
+    (but not a table built before the call); building the table is not a
+    node.
     """
     if n < 1:
         raise FstError("n must be >= 1")
@@ -183,19 +203,19 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
         return SearchOutcome(n=n, witness=None, stats=SearchStats(0, 0, 0.0), clique=clique)
     budget = _Budget(cfg, n)
     tables = tables or _Tables(task)
-    trie, words = tables.trie, tables.words
-    kids = trie.delta
-    if n == lo:
+    if n == lo:  # trie nodes, keyed by output: no class table is built here
+        trie = tables.trie
         outputs = {o: i for i, o in enumerate(task.output_alphabet, start=1)}
         key = [outputs.get(o, 0) for o in trie.omega]  # 0: no output, excludes nothing
         everything = (1 << len(outputs) + 1) - 2
         adj = [0] + [everything ^ 1 << i for i in outputs.values()]
-    else:
-        key, _, adj = tables.table(budget.clock)
-    bit = [1 << c for c in key]
-    excludes = [adj[c] for c in key]
-    omega = trie.omega
-    k = len(kids[0])
+        bit = [1 << c for c in key]
+        excludes = [adj[c] for c in key]
+        root, kids, words, omega, each = 0, trie.delta, tables.words, trie.omega, enumerate
+    else:  # classes, each its own key
+        cls, _, excludes, (kids, words, bit, omega) = tables.table(budget.clock)
+        root, each = cls[0], iter
+    k = len(task.input_alphabet)
     delta: list[Optional[int]] = [None] * (n * k)  # cell q * k + a
     # per cell, None or the chain (node, mask of the chain's keys, words through it, rest)
     waiting: list[Optional[tuple]] = [None] * (n * k)
@@ -213,14 +233,18 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
                 if omega[u] is not None:
                     outputs[q] = omega[u]
                 v = r = -1
-                for cell, c in enumerate(kids[u], q * k):
+                qk = q * k
+                for a, c in each(kids[u]):  # (symbol, child): a trie row, None cells too, or a class's pairs
                     if c is None:
                         continue
+                    cell = qk + a
                     t = delta[cell]
                     if t is None:
                         rest = waiting[cell]
-                        mask, weight = (0, 0) if rest is None else rest[1:3]
-                        waiting[cell] = (c, mask | bit[c], weight + words[c], rest)
+                        if rest is None:
+                            waiting[cell] = (c, bit[c], words[c], None)
+                        else:
+                            waiting[cell] = (c, rest[1] | bit[c], rest[2] + words[c], rest)
                     elif v < 0:
                         v, r = c, t
                     else:
@@ -228,7 +252,7 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
                 u, q = v, r
         return True
 
-    place([(0, 0)])
+    place([(root, 0)])
     next_check = min(budget.node_limit + 1, 4096)
     nodes = backtracks = hi = 0
     # [cell, candidates, next index, hi, waiting, excluded and outputs before]
@@ -262,7 +286,8 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
             if nodes >= next_check:
                 next_check = budget.check(nodes, backtracks)
             t = candidates[i]
-            hi = max(hi, t)
+            if t > hi:
+                hi = t
             delta[cell] = t
             chain, waiting[cell] = waiting[cell], None  # no node waits on a bound cell
             walk = []
@@ -308,14 +333,21 @@ def _max_clique(adj: list[int], order: list[int], budget: _Budget) -> list[int]:
 def check_clique(task: TaskSpec, clique: tuple[Word, ...]) -> None:
     """Raise CheckFailed unless every two prefixes in `clique` have a
     common suffix that completes both to task words with different
-    outputs."""
-    outputs = dict(task.pairs)
+    outputs. Each member's {suffix: output} map over the task words it
+    prefixes is filled in one pass over the words; a pair is then a lookup
+    per suffix."""
+    completions: dict[Word, dict] = {p: {} for p in clique}
+    lengths = {len(p) for p in clique}
+    for word, out in task.pairs:
+        for n in lengths:
+            mine = completions.get(word[:n])
+            if mine is not None:
+                mine[word[n:]] = out
     for i, p in enumerate(clique):
+        mine = completions[p]
         for r in clique[:i]:
-            if not any(
-                word[: len(p)] == p and outputs.get(r + word[len(p) :], out) != out
-                for word, out in task.pairs
-            ):
+            theirs = completions[r]
+            if not any(theirs.get(s, out) != out for s, out in mine.items()):
                 raise CheckFailed(f"clique prefixes {p!r} and {r!r} are compatible")
 
 
@@ -372,7 +404,7 @@ def incompatibility_clique(task: TaskSpec, budget: Optional[_Budget] = None, tab
     limit applies, as neither is a search node."""
     if budget is None:
         budget = _Budget(SearchConfig(), 0)
-    cls, classes, table = (tables or _Tables(task)).table(budget.clock)
+    cls, classes, table, _ = (tables or _Tables(task)).table(budget.clock)
     parent = breadth_first(cls, classes)
     members = []
     for c in _max_clique(table, list(parent), budget):

@@ -4,6 +4,7 @@ oracle."""
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -82,7 +83,7 @@ def test_clique_sizes(task, size):
 def test_pinned_cliques(task, clique, ticks):
     budget = _Budget(SearchConfig(), 0)
     assert incompatibility_clique(task, budget) == tuple(tuple(w) for w in clique)
-    assert budget.nodes == ticks
+    assert budget.clocks == ticks
 
 
 def test_zo8_levels_four_and_five_are_certified():
@@ -222,7 +223,7 @@ def test_sparse_table_ticks_far_fewer_than_class_pairs():
     _, classes = subtree_classes(build_trie(task))
     budget = _Budget(SearchConfig(), 0)
     incompatibility_table(classes, budget.clock)
-    assert budget.nodes < len(classes) ** 2 / 10
+    assert budget.clocks < len(classes) ** 2 / 10
 
 
 def _random_task(rng, symbols):
@@ -232,6 +233,41 @@ def _random_task(rng, symbols):
         word = tuple(rng.choice(symbols) for _ in range(rng.randint(1, 5)))
         mapping[word] = rng.choice(outputs)
     return TaskSpec(symbols, outputs, tuple(sorted(mapping.items())))
+
+
+@pytest.mark.parametrize(
+    "clique, pair", [((("0", "0"), ()), "() and ('0', '0')"), (((), ("0", "0")), "('0', '0') and ()")]
+)
+def test_compatible_clique_pair_is_named(clique, pair):
+    # every palindrome-5 word has 5 symbols, so 00 and the empty prefix share no completion
+    with pytest.raises(CheckFailed, match=re.escape(f"clique prefixes {pair} are compatible")):
+        check_clique(gen_palindrome(5), clique)
+
+
+def test_check_clique_names_the_first_compatible_pair():
+    # against a pair-by-pair rescan of the task words, member by member
+    rng = random.Random(5)
+    refused = 0
+    for _ in range(300):
+        task = _random_task(rng, ("0", "1"))
+        outputs = dict(task.pairs)
+        prefixes = sorted({w[:i] for w in outputs for i in range(len(w) + 1)})
+        words = sorted(outputs)  # two with different outputs are incompatible
+        clique = tuple(rng.choice(rng.choice((prefixes, words))) for _ in range(rng.randint(2, 3)))
+        compatible = [
+            (p, r)
+            for i, p in enumerate(clique)
+            for r in clique[:i]
+            if not any(outputs.get(r + w[len(p):], o) != o for w, o in outputs.items() if w[: len(p)] == p)
+        ]
+        if compatible:
+            refused += 1
+            message = "clique prefixes %r and %r are compatible" % compatible[0]
+            with pytest.raises(CheckFailed, match=re.escape(message)):
+                check_clique(task, clique)
+        else:
+            check_clique(task, clique)
+    assert min(refused, 300 - refused) >= 20  # both verdicts are exercised
 
 
 def test_differential_ternary_against_oracle():

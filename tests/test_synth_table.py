@@ -152,8 +152,17 @@ class TestSearchCore:
             (gen_palindrome(6), 8, (4_035, 4_035)),
             (gen_palindrome(6), 9, (12_451, 12_451)),
             (gen_palindrome(6), 10, (7_354, 7_334)),
+            # the witness workload: the output count, then the class DAG
+            (gen_signal_locator(12, 4), 4, (105, 105)),
+            (gen_signal_locator(12, 4), 5, (207, 207)),
+            (gen_signal_locator(12, 4), 6, (421, 421)),
+            (gen_signal_locator(12, 4), 7, (215, 205)),
+            (gen_signal_locator(10, 5), 5, (247, 247)),
+            (gen_signal_locator(10, 5), 6, (511, 511)),
+            (gen_signal_locator(10, 5), 7, (67, 58)),
         ],
-        ids=["pal4-4", "zo4-3", "sl8-4-5", "sl9-3-5", "words-3", "pal5-7", "pal6-8", "pal6-9", "pal6-10"],
+        ids=["pal4-4", "zo4-3", "sl8-4-5", "sl9-3-5", "words-3", "pal5-7", "pal6-8", "pal6-9", "pal6-10",
+             "sl12-4-4", "sl12-4-5", "sl12-4-6", "sl12-4-7", "sl10-5-5", "sl10-5-6", "sl10-5-7"],
     )
     def test_pinned_counts(self, task, n, table):
         stats = synthesize_at(task, n).stats
@@ -164,6 +173,13 @@ class TestSearchCore:
         witness = synthesize_at(gen_palindrome(6), 10).witness
         digest = hashlib.sha256(serialize_transducer(witness).encode()).hexdigest()
         assert digest == "c6dac165cf9d492761bc2683bf50df4c7e857365acd3ff8f5e7c0c2b56c03b9d"
+
+    def test_pinned_class_dag_witness(self):
+        # sha256 of the FST/1 text of the signal locator 12-4 witness at 7
+        # states, found walking the class DAG
+        witness = synthesize_at(gen_signal_locator(12, 4), 7).witness
+        digest = hashlib.sha256(serialize_transducer(witness).encode()).hexdigest()
+        assert digest == "fb13f081e07c29394e86d898d520e997bbe5e086a921bcbc0de0a9b7ac4611ec"
 
     @pytest.mark.parametrize(
         "pairs, n, table, delta, omega",
@@ -280,12 +296,15 @@ class TestSynthesizeMinimal:
         assert not any(o.sat for o in trail)
 
     @pytest.mark.parametrize(
-        "task, built", [(gen_signal_locator(12, 4), (1, 1, 1)), (word_classification(), (1, 0, 0))],
-        ids=["sl12-4", "words"],
+        "task, built",
+        [(gen_signal_locator(12, 4), (1, 1, 1, 1)), (word_classification(), (1, 0, 0, 0)),
+         (gen_parity(9), (1, 0, 0, 0))],
+        ids=["sl12-4", "words", "par9"],
     )
     def test_task_tables_are_built_once(self, monkeypatch, task, built):
-        # sl12-4 searches 4 levels and builds the clique; words is SAT at the output count
-        names = ("build_trie", "subtree_classes", "incompatibility_table")
+        # sl12-4 searches 4 levels and builds the clique; words and parity 9
+        # are SAT at the output count, where the search walks the trie
+        names = ("build_trie", "subtree_classes", "incompatibility_table", "class_graph")
         calls = dict.fromkeys(names, 0)
         for name in names:
             def counted(*args, _name=name, _original=getattr(synth_table, name)):
