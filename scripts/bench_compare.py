@@ -6,10 +6,13 @@
 BEFORE and AFTER are source checkouts, each with its `perfbench/`. For
 every seed and workload the benchmark runs once in each checkout, one run
 at a time, with the first of the two alternating from seed to seed; the
-file keeps every run's end-to-end metrics and their medians. It also
-keeps, per checkout, task and state count, how each level was decided
-(verdict, search nodes, clique certificate), from `synthesize_minimal`
-on the workload's tasks as `perfbench/inputs.py` builds them for seed 1.
+file keeps every run's end-to-end metrics and their medians, and a
+summary per workload and end-to-end metric of `BENCHMARK.json`: the
+after/before ratio of the medians, the seed pairs the after side won and
+the before side's interquartile range. It also keeps, per checkout, task
+and state count, how each level was decided (verdict, search nodes,
+clique certificate), from `synthesize_minimal` on the workload's tasks
+as `perfbench/inputs.py` builds them for seed 1.
 """
 
 from __future__ import annotations
@@ -69,7 +72,11 @@ def src_digest(checkout: Path) -> str:
 
 
 def run_checkout(checkout: Path, args: list[str]) -> str:
-    result = subprocess.run([sys.executable, *args], cwd=checkout, capture_output=True, text=True, check=True)
+    """The stdout of `python ARGS` run in `checkout`; a failed run raises
+    RuntimeError carrying the child's stderr."""
+    result = subprocess.run([sys.executable, *args], cwd=checkout, capture_output=True, text=True)
+    if result.returncode:
+        raise RuntimeError(f"{' '.join(args)} in {checkout} exited {result.returncode}:\n{result.stderr}")
     return result.stdout
 
 
@@ -79,6 +86,27 @@ def benchmark(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(out.splitlines()[-1])
     return {"seed": seed, "correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"], "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def summary(runs: dict, medians: dict, end_to_end: list[dict]) -> dict:
+    """Per workload and end-to-end metric: the after/before ratio of the
+    medians (None if the before median is 0), the seed pairs whose after
+    run was better, and the before side's interquartile range (the default
+    method of `statistics.quantiles`; 0 for one seed)."""
+    out = {}
+    for workload, before_runs in runs["before"].items():
+        after_runs, rows = runs["after"][workload], {}
+        for metric in end_to_end:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            before = [r["metrics"][name] for r in before_runs]
+            after = [r["metrics"][name] for r in after_runs]
+            q1, _, q3 = statistics.quantiles(before, n=4) if len(before) > 1 else (0, 0, 0)
+            b, a = medians["before"][workload][name], medians["after"][workload][name]
+            rows[name] = {"ratio": a / b if b else None,
+                          "after_wins": sum(sign * (y - x) > 0 for x, y in zip(before, after)),
+                          "pairs": len(before), "before_iqr": q3 - q1}
+        out[workload] = rows
+    return out
 
 
 def main() -> int:
@@ -101,6 +129,7 @@ def main() -> int:
             for side in (("before", "after") if i % 2 == 0 else ("after", "before")):
                 runs[side][workload].append(benchmark(sides[side], workload, seed, args.seconds))
                 print(f"{workload} seed {seed} {side}: {runs[side][workload][-1]['metrics']}", file=sys.stderr)
+    end_to_end = json.loads((sides["after"] / "BENCHMARK.json").read_text())["end_to_end"]
     medians = {side: {w: {m: statistics.median(r["metrics"][m] for r in rs) for m in rs[0]["metrics"]}
                       for w, rs in by_workload.items()} for side, by_workload in runs.items()}
     script = str(Path(__file__).resolve())
@@ -111,7 +140,8 @@ def main() -> int:
                  "machine": platform.machine(), "processor": _cpu_model()},
         "src_sha256": {side: src_digest(path) for side, path in sides.items()},
         "seconds": args.seconds, "seeds": args.seeds,
-        "median": medians, "runs": runs, "levels": level_rows,
+        "median": medians, "summary": summary(runs, medians, end_to_end),
+        "runs": runs, "levels": level_rows,
     }
     text = json.dumps(report, indent=1)
     if args.out:

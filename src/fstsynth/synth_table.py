@@ -151,16 +151,16 @@ class _Tables:
         return self._table
 
 
-def class_graph(classes: list[tuple]) -> tuple[list, list[int], list[int], list]:
+def class_graph(classes: list[tuple]) -> tuple[list, list[int], list[int]]:
     """Per class of `subtree_classes`: its (symbol, child class) pairs with
     undefined children left out, the task words through its subtree (the
-    classes are numbered children first), its bit and its output."""
+    classes are numbered children first) and its bit."""
     kids, words = [], []
     for o, succ in classes:
         pairs = [(a, c) for a, c in enumerate(succ) if c >= 0]
         kids.append(pairs)
         words.append((o is not None) + sum(words[c] for _, c in pairs))
-    return kids, words, [1 << c for c in range(len(classes))], [o for o, _ in classes]
+    return kids, words, [1 << c for c in range(len(classes))]
 
 
 def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *, tables=None) -> SearchOutcome:
@@ -186,12 +186,15 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
     sits on them and no mask names them. So trying the used states plus one
     fresh state is complete. Choices sit on an explicit stack; a cell's
     waiting nodes form an immutable chain, so a decision undoes itself
-    alone, restoring its copy of the chains, masks and outputs from before
-    it. A node is counted per candidate tried, a backtrack per candidate
-    withdrawn. The trie and table come from `tables`, else are built after
-    the level's clock starts, so the time budget and the stats cover them
-    (but not a table built before the call); building the table is not a
-    node.
+    alone, restoring its copy of the chains and masks from before it. The
+    scan stops counting a cell's admissible states once the cell can no
+    longer be the least. No decision reads a state's output: the masks
+    keep the keys that fix it, and a SAT level gives each state the output
+    of the task words it ends, walked through the bound cells. A node is
+    counted per candidate tried, a backtrack per candidate withdrawn. The
+    trie and table come from `tables`, else are built after the level's
+    clock starts, so the time budget and the stats cover them (but not a
+    table built before the call); building the table is not a node.
     """
     if n < 1:
         raise FstError("n must be >= 1")
@@ -211,16 +214,15 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
         adj = [0] + [everything ^ 1 << i for i in outputs.values()]
         bit = [1 << c for c in key]
         excludes = [adj[c] for c in key]
-        root, kids, words, omega, each = 0, trie.delta, tables.words, trie.omega, enumerate
+        root, kids, words, each = 0, trie.delta, tables.words, enumerate
     else:  # classes, each its own key
-        cls, _, excludes, (kids, words, bit, omega) = tables.table(budget.clock)
+        cls, _, excludes, (kids, words, bit) = tables.table(budget.clock)
         root, each = cls[0], iter
     k = len(task.input_alphabet)
     delta: list[Optional[int]] = [None] * (n * k)  # cell q * k + a
     # per cell, None or the chain (node, mask of the chain's keys, words through it, rest)
     waiting: list[Optional[tuple]] = [None] * (n * k)
     excluded = [0] * n
-    outputs: list[Optional[str]] = [None] * n
 
     def place(walk: list[tuple[int, int]]) -> bool:
         while walk:
@@ -230,8 +232,6 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
                 if ex & bit[u]:
                     return False
                 excluded[q] = ex | excludes[u]
-                if omega[u] is not None:
-                    outputs[q] = omega[u]
                 v = r = -1
                 qk = q * k
                 for a, c in each(kids[u]):  # (symbol, child): a trie row, None cells too, or a class's pairs
@@ -255,27 +255,35 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
     place([(root, 0)])
     next_check = min(budget.node_limit + 1, 4096)
     nodes = backtracks = hi = 0
-    # [cell, candidates, next index, hi, waiting, excluded and outputs before]
+    # [cell, candidates, next index, hi, waiting and excluded before]
     frames: list[list] = []
     while True:
-        best = None  # (admissible count, -words through the cell, cell, mask)
         top = min(hi + 2, n)
         masks = excluded[:top]  # of the states in use and one fresh state
+        # the least (admissible count, -words through the cell, cell); a
+        # cell's count stops once it can no longer win
+        best_count, best_weight, best = top + 1, 0, None
         for cell in range((hi + 1) * k):
             chain = waiting[cell]
             if chain is not None:
                 _, mask, weight, _ = chain
-                count = sum(not ex & mask for ex in masks)
-                if best is None or (count, -weight) < best[:2]:
-                    best = (count, -weight, cell, mask)
+                limit = best_count if weight > best_weight else best_count - 1
+                count = 0
+                for ex in masks:
+                    if not ex & mask:
+                        count += 1
+                        if count > limit:
+                            break
+                else:
+                    best_count, best_weight, best = count, weight, (cell, mask)
         if best is None:
             break
-        _, _, cell, mask = best
+        cell, mask = best
         candidates = [t for t in range(top) if not excluded[t] & mask]
-        frames.append([cell, candidates, 0, hi, waiting[:], excluded[:], outputs[:]])
+        frames.append([cell, candidates, 0, hi, waiting[:], excluded[:]])
         while frames:
             frame = frames[-1]
-            cell, candidates, i, hi, waiting[:], excluded[:], outputs[:] = frame
+            cell, candidates, i, hi, waiting[:], excluded[:] = frame
             delta[cell] = None
             backtracks += i > 0  # the candidate tried last is withdrawn
             if i == len(candidates):
@@ -300,7 +308,16 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
             return SearchOutcome(n=n, witness=None, stats=budget.stats(nodes, backtracks))
     stats = budget.stats(nodes, backtracks)
     rows = [delta[q * k : q * k + k] for q in range(n)]
-    witness = totalize(Transducer(n, task.input_alphabet, task.output_alphabet, rows, outputs))
+    # every task word runs on bound cells, and the masks kept the outputs
+    # of the words ending on one state equal
+    step = [dict(zip(task.input_alphabet, row)) for row in rows]
+    omega: list[Optional[str]] = [None] * n
+    for word, out in task.pairs:
+        q = 0
+        for a in word:
+            q = step[q][a]
+        omega[q] = out
+    witness = totalize(Transducer(n, task.input_alphabet, task.output_alphabet, rows, omega))
     if not verify(witness, task).ok:
         raise CheckFailed("search produced a non-verifying witness")
     return SearchOutcome(n=n, witness=witness, stats=stats)

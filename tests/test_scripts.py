@@ -5,6 +5,8 @@ import importlib
 import importlib.util
 import json
 import os
+import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -73,3 +75,31 @@ def test_stress_tier():
         assert [lv["n"] for lv in levels] == list(range(levels[0]["n"], row["n_min"] + 1))
         assert [lv["verdict"] for lv in levels] == ["UNSAT"] * (len(levels) - 1) + ["SAT"]
         assert all(lv["certificate"] in ("search", "clique") for lv in levels)
+
+
+def _bench_compare():
+    spec = importlib.util.spec_from_file_location("bench_compare", ROOT / "scripts" / "bench_compare.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_compare_reports_the_child_error(tmp_path):
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench")  # and no BENCHMARK.json
+    with pytest.raises(RuntimeError, match="cannot read BENCHMARK.json"):
+        _bench_compare().benchmark(tmp_path, "refute", 1, 0.1)
+
+
+def test_bench_compare_summary():
+    def side(values):
+        return {"refute": [{"metrics": {"pairs_per_s.p50": v, "setup_s": v / 100}} for v in values]}
+
+    before, after = [100, 110, 90, 120, 80], [120, 100, 130, 125, 95]
+    runs = {"before": side(before), "after": side(after)}
+    medians = {s: {"refute": {m: statistics.median(r["metrics"][m] for r in rs["refute"])
+                              for m in ("pairs_per_s.p50", "setup_s")}} for s, rs in runs.items()}
+    metrics = [{"name": "pairs_per_s.p50", "better": "higher"}, {"name": "setup_s", "better": "lower"}]
+    rows = _bench_compare().summary(runs, medians, metrics)["refute"]
+    assert rows["pairs_per_s.p50"] == {"ratio": 1.2, "after_wins": 4, "pairs": 5, "before_iqr": 30}
+    assert rows["setup_s"]["after_wins"] == 1
+    assert rows["setup_s"]["ratio"] == pytest.approx(1.2)

@@ -152,6 +152,7 @@ class TestSearchCore:
             (gen_palindrome(6), 8, (4_035, 4_035)),
             (gen_palindrome(6), 9, (12_451, 12_451)),
             (gen_palindrome(6), 10, (7_354, 7_334)),
+            (gen_palindrome(7), 11, (42_135, 42_135)),
             # the witness workload: the output count, then the class DAG
             (gen_signal_locator(12, 4), 4, (105, 105)),
             (gen_signal_locator(12, 4), 5, (207, 207)),
@@ -162,7 +163,7 @@ class TestSearchCore:
             (gen_signal_locator(10, 5), 7, (67, 58)),
         ],
         ids=["pal4-4", "zo4-3", "sl8-4-5", "sl9-3-5", "words-3", "pal5-7", "pal6-8", "pal6-9", "pal6-10",
-             "sl12-4-4", "sl12-4-5", "sl12-4-6", "sl12-4-7", "sl10-5-5", "sl10-5-6", "sl10-5-7"],
+             "pal7-11", "sl12-4-4", "sl12-4-5", "sl12-4-6", "sl12-4-7", "sl10-5-5", "sl10-5-6", "sl10-5-7"],
     )
     def test_pinned_counts(self, task, n, table):
         stats = synthesize_at(task, n).stats
