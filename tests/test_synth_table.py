@@ -161,9 +161,29 @@ class TestSearchCore:
             (gen_signal_locator(10, 5), 5, (247, 247)),
             (gen_signal_locator(10, 5), 6, (511, 511)),
             (gen_signal_locator(10, 5), 7, (67, 58)),
+            # the other levels the benchmark searches
+            (gen_palindrome(4), 2, (9, 9)),
+            (gen_palindrome(4), 5, (21, 11)),
+            (gen_zeroes_or_ones(4), 4, (8, 0)),
+            (gen_signal_locator(8, 4), 4, (100, 100)),
+            (gen_signal_locator(8, 4), 6, (179, 170)),
+            (gen_zeroes_or_ones(8), 3, (94, 94)),
+            (gen_zeroes_or_ones(8), 6, (12, 0)),
+            (gen_palindrome(5), 2, (9, 9)),
+            (gen_palindrome(5), 4, (48, 48)),
+            (gen_palindrome(5), 5, (98, 98)),
+            (gen_palindrome(5), 6, (305, 305)),
+            (gen_signal_locator(9, 3), 3, (40, 40)),
+            (gen_signal_locator(9, 3), 4, (93, 93)),
+            (gen_zeroes_or_ones(6), 3, (65, 65)),
+            (gen_zeroes_or_ones(6), 5, (10, 0)),
+            (gen_parity(9), 2, (4, 0)),
+            (gen_parity(10), 2, (4, 0)),
         ],
         ids=["pal4-4", "zo4-3", "sl8-4-5", "sl9-3-5", "words-3", "pal5-7", "pal6-8", "pal6-9", "pal6-10",
-             "pal7-11", "sl12-4-4", "sl12-4-5", "sl12-4-6", "sl12-4-7", "sl10-5-5", "sl10-5-6", "sl10-5-7"],
+             "pal7-11", "sl12-4-4", "sl12-4-5", "sl12-4-6", "sl12-4-7", "sl10-5-5", "sl10-5-6", "sl10-5-7",
+             "pal4-2", "pal4-5", "zo4-4", "sl8-4-4", "sl8-4-6", "zo8-3", "zo8-6", "pal5-2", "pal5-4", "pal5-5",
+             "pal5-6", "sl9-3-3", "sl9-3-4", "zo6-3", "zo6-5", "par9-2", "par10-2"],
     )
     def test_pinned_counts(self, task, n, table):
         stats = synthesize_at(task, n).stats
