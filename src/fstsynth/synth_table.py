@@ -176,9 +176,16 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
     fixed by it, so walking class ids (children from `class_graph`) makes
     the decisions walking trie nodes would. The root sits on state 0; every
     other node waits on the cell (its parent's state, its symbol), and
-    binding that cell places all its waiting nodes, each walking on through
-    bound cells. A state keeps the mask of keys its nodes exclude: outputs
-    at the output-count level, classes of `incompatibility_table` above it.
+    binding that cell places all its waiting nodes. A state keeps the mask
+    of keys its nodes exclude: outputs at the output-count level, classes
+    of `incompatibility_table` above it. A placement walks the cell's chain
+    from its head, the heaviest node (most task words, ties to the newest:
+    a joining node heads if it carries at least the head's words, else goes
+    second), each node depth first through bound cells, and fails at the
+    first node whose key its state's mask holds (fail-first within the
+    placement). The set of nodes placed is fixed by the bound cells and
+    incompatibility is symmetric, so the order decides only how soon a
+    failing placement stops, never whether it fails.
     Each decision binds the open cell with the fewest admissible states;
     ties go to the cell whose waiting nodes carry the most task words, then
     to the first in (state, symbol) order. Whichever cell is chosen, the
@@ -220,39 +227,50 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
         root, each = cls[0], iter
     k = len(task.input_alphabet)
     delta: list[Optional[int]] = [None] * (n * k)  # cell q * k + a
-    # per cell, None or the chain (node, mask of the chain's keys, words through it, rest)
+    # per cell, None or (mask of its nodes' keys, words through them, chain),
+    # the chain a linked list (node, rest) headed by the heaviest node
     waiting: list[Optional[tuple]] = [None] * (n * k)
     excluded = [0] * n
 
-    def place(walk: list[tuple[int, int]]) -> bool:
-        while walk:
-            u, q = walk.pop()
-            while u >= 0:  # on down the first bound child without the stack
-                ex = excluded[q]
-                if ex & bit[u]:
-                    return False
-                excluded[q] = ex | excludes[u]
-                v = r = -1
-                qk = q * k
-                for a, c in each(kids[u]):  # (symbol, child): a trie row, None cells too, or a class's pairs
-                    if c is None:
-                        continue
-                    cell = qk + a
-                    t = delta[cell]
-                    if t is None:
-                        rest = waiting[cell]
-                        if rest is None:
-                            waiting[cell] = (c, bit[c], words[c], None)
+    def place(chain: Optional[tuple], t: int) -> bool:
+        walk: list[tuple[int, int]] = []  # bound children waiting their turn
+        while chain is not None:
+            u, chain = chain
+            q = t
+            while True:
+                while u >= 0:  # on down the first bound child without the stack
+                    ex = excluded[q]
+                    if ex & bit[u]:
+                        return False
+                    excluded[q] = ex | excludes[u]
+                    v = r = -1
+                    qk = q * k
+                    for a, c in each(kids[u]):  # (symbol, child): a trie row, None cells too, or a class's pairs
+                        if c is None:
+                            continue
+                        cell = qk + a
+                        s = delta[cell]
+                        if s is None:
+                            w = words[c]
+                            entry = waiting[cell]
+                            if entry is None:
+                                waiting[cell] = (bit[c], w, (c, None))
+                            else:
+                                mask, weight, first = entry
+                                head, tail = first
+                                first = (c, first) if w >= words[head] else (head, (c, tail))
+                                waiting[cell] = (mask | bit[c], weight + w, first)
+                        elif v < 0:
+                            v, r = c, s
                         else:
-                            waiting[cell] = (c, rest[1] | bit[c], rest[2] + words[c], rest)
-                    elif v < 0:
-                        v, r = c, t
-                    else:
-                        walk.append((c, t))
-                u, q = v, r
+                            walk.append((c, s))
+                    u, q = v, r
+                if not walk:
+                    break
+                u, q = walk.pop()
         return True
 
-    place([(root, 0)])
+    place((root, None), 0)
     next_check = min(budget.node_limit + 1, 4096)
     nodes = backtracks = hi = 0
     # [cell, candidates, next index, hi, waiting and excluded before]
@@ -266,7 +284,7 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
         for cell in range((hi + 1) * k):
             chain = waiting[cell]
             if chain is not None:
-                _, mask, weight, _ = chain
+                mask, weight, _ = chain
                 limit = best_count if weight > best_weight else best_count - 1
                 count = 0
                 for ex in masks:
@@ -297,12 +315,9 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
             if t > hi:
                 hi = t
             delta[cell] = t
-            chain, waiting[cell] = waiting[cell], None  # no node waits on a bound cell
-            walk = []
-            while chain is not None:
-                c, _, _, chain = chain
-                walk.append((c, t))
-            if place(walk):
+            _, _, chain = waiting[cell]
+            waiting[cell] = None  # no node waits on a bound cell
+            if place(chain, t):
                 break
         else:
             return SearchOutcome(n=n, witness=None, stats=budget.stats(nodes, backtracks))
