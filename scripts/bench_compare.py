@@ -12,7 +12,9 @@ after/before ratio of the medians, the seed pairs the after side won and
 the before side's interquartile range. It also keeps, per checkout, task
 and state count, how each level was decided (verdict, search nodes,
 clique certificate), from `synthesize_minimal` on the workload's tasks
-as `perfbench/inputs.py` builds them for seed 1.
+as `perfbench/inputs.py` builds them for seed 1; each workload's summary
+says whether those rows are equal in both checkouts (`levels_equal`) and
+lists the rows that differ (`levels_changed`).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 
 def levels(checkout: Path, workload: str) -> list[dict]:
@@ -88,11 +91,22 @@ def benchmark(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "failed": result["failed"], "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def summary(runs: dict, medians: dict, end_to_end: list[dict]) -> dict:
+def changed_levels(before: list[dict], after: list[dict]) -> list[dict]:
+    """The level rows of one workload that differ between the checkouts,
+    matched by task and state count; a row one side lacks is None."""
+    sides = [{(r["task"], r.get("n")): r for r in rows} for rows in (before, after)]
+    keys = dict.fromkeys([*sides[0], *sides[1]])
+    return [{"before": sides[0].get(key), "after": sides[1].get(key)}
+            for key in keys if sides[0].get(key) != sides[1].get(key)]
+
+
+def summary(runs: dict, medians: dict, end_to_end: list[dict], levels: Optional[dict] = None) -> dict:
     """Per workload and end-to-end metric: the after/before ratio of the
     medians (None if the before median is 0), the seed pairs whose after
     run was better, and the before side's interquartile range (the default
-    method of `statistics.quantiles`; 0 for one seed)."""
+    method of `statistics.quantiles`; 0 for one seed). Given `levels`
+    ({side: {workload: rows}}), each workload also gets `levels_equal` and
+    `levels_changed` from `changed_levels`."""
     out = {}
     for workload, before_runs in runs["before"].items():
         after_runs, rows = runs["after"][workload], {}
@@ -105,6 +119,9 @@ def summary(runs: dict, medians: dict, end_to_end: list[dict]) -> dict:
             rows[name] = {"ratio": a / b if b else None,
                           "after_wins": sum(sign * (y - x) > 0 for x, y in zip(before, after)),
                           "pairs": len(before), "before_iqr": q3 - q1}
+        if levels is not None:
+            changed = changed_levels(levels["before"][workload], levels["after"][workload])
+            rows["levels_equal"], rows["levels_changed"] = not changed, changed
         out[workload] = rows
     return out
 
@@ -140,7 +157,7 @@ def main() -> int:
                  "machine": platform.machine(), "processor": _cpu_model()},
         "src_sha256": {side: src_digest(path) for side, path in sides.items()},
         "seconds": args.seconds, "seeds": args.seeds,
-        "median": medians, "summary": summary(runs, medians, end_to_end),
+        "median": medians, "summary": summary(runs, medians, end_to_end, level_rows),
         "runs": runs, "levels": level_rows,
     }
     text = json.dumps(report, indent=1)

@@ -7,9 +7,9 @@ decided, "clique" for one the clique refuted with no search.
 
 With --frontier, run instead the tasks the search cannot yet finish or only
 just finishes: palindrome 7 up to 13 states and two random-target tasks,
-each level under a 60 s budget. Per task, one JSON line gives the last
-level refuted (its nodes, seconds and certificate), n_min if it was
-reached, else null, and why the run stopped."""
+each level under a 60 s budget. Per task, one JSON line gives every level
+decided, as above, and the last level refuted, n_min if it was reached,
+else null, and why the run stopped."""
 
 import argparse
 import json
@@ -111,8 +111,8 @@ def main():
     for name, (make_task, max_states) in FRONTIER.items():
         n_min, levels, stopped = decide(make_task(), SearchConfig(max_states=max_states, time_budget=FRONTIER_SECONDS))
         refuted = [o for o in levels if not o.sat]
-        print(json.dumps({"task": name, "n_min": n_min, "last_refuted": level(refuted[-1]) if refuted else None,
-                          "stopped": stopped}), flush=True)
+        print(json.dumps({"task": name, "n_min": n_min, "levels": [level(o) for o in levels],
+                          "last_refuted": level(refuted[-1]) if refuted else None, "stopped": stopped}), flush=True)
 
 
 if __name__ == "__main__":

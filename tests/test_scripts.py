@@ -103,3 +103,23 @@ def test_bench_compare_summary():
     assert rows["pairs_per_s.p50"] == {"ratio": 1.2, "after_wins": 4, "pairs": 5, "before_iqr": 30}
     assert rows["setup_s"]["after_wins"] == 1
     assert rows["setup_s"]["ratio"] == pytest.approx(1.2)
+
+
+def test_bench_compare_says_whether_the_levels_moved():
+    def side(values):
+        return {w: [{"metrics": {"pairs_per_s.p50": v}} for v in values] for w in ("refute", "wide")}
+
+    runs = {"before": side([100, 110]), "after": side([120, 100])}
+    medians = {s: {w: {"pairs_per_s.p50": 105} for w in ("refute", "wide")} for s in runs}
+    pal4 = [{"task": "pal4", "n": n, "verdict": "UNSAT", "nodes": 9, "certificate": "search"} for n in (2, 3)]
+    moved = dict(pal4[1], nodes=8)
+    error = {"task": "par10", "error": "RecursionError"}
+    levels = {"before": {"refute": pal4, "wide": pal4 + [error]},
+              "after": {"refute": list(pal4), "wide": [pal4[0], moved]}}
+    metrics = [{"name": "pairs_per_s.p50", "better": "higher"}]
+    out = _bench_compare().summary(runs, medians, metrics, levels)
+    assert out["refute"]["levels_equal"] is True and out["refute"]["levels_changed"] == []
+    assert out["wide"]["levels_equal"] is False
+    assert out["wide"]["levels_changed"] == [{"before": pal4[1], "after": moved}, {"before": error, "after": None}]
+    assert out["wide"]["pairs_per_s.p50"]["after_wins"] == 1
+    assert "levels_equal" not in _bench_compare().summary(runs, medians, metrics)["refute"]

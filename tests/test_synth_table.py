@@ -239,13 +239,21 @@ class TestSearchCore:
         assert info.value.kind == "nodes"
         assert info.value.stats.nodes == budget + 1
 
-    @pytest.mark.parametrize("task, n", [(gen_signal_locator(12, 4), 7), (gen_palindrome(5), 6)])
+    @pytest.mark.parametrize(
+        "task, n",
+        [(gen_signal_locator(12, 4), 7), (gen_palindrome(5), 6), (gen_zeroes_or_ones(8), 3),
+         (gen_signal_locator(10, 5), 6), (gen_palindrome(6), 9)],
+    )
     def test_task_line_order_moves_nothing(self, task, n):
-        # the trie is numbered in line order, but no decision reads it
-        flipped = TaskSpec(task.input_alphabet, task.output_alphabet, task.pairs[::-1])
-        a, b = synthesize_at(task, n), synthesize_at(flipped, n)
-        assert (a.stats.nodes, a.stats.backtracks) == (b.stats.nodes, b.stats.backtracks)
-        assert a.witness == b.witness
+        # the trie is numbered in line order, and a placement walks tied
+        # nodes newest first, but no decision reads that order
+        a = synthesize_at(task, n)
+        for seed in (1, 2, 3):
+            pairs = list(task.pairs)
+            random.Random(seed).shuffle(pairs)
+            b = synthesize_at(TaskSpec(task.input_alphabet, task.output_alphabet, tuple(pairs)), n)
+            assert (a.stats.nodes, a.stats.backtracks) == (b.stats.nodes, b.stats.backtracks)
+            assert a.witness == b.witness
 
     def test_signal_locator_12_4_within_1000_nodes(self):
         task = gen_signal_locator(12, 4)
