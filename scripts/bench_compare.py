@@ -28,7 +28,6 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Optional
 
 
 def levels(checkout: Path, workload: str) -> list[dict]:
@@ -100,7 +99,7 @@ def changed_levels(before: list[dict], after: list[dict]) -> list[dict]:
             for key in keys if sides[0].get(key) != sides[1].get(key)]
 
 
-def summary(runs: dict, medians: dict, end_to_end: list[dict], levels: Optional[dict] = None) -> dict:
+def summary(runs: dict, medians: dict, end_to_end: list[dict], levels: dict | None = None) -> dict:
     """Per workload and end-to-end metric: the after/before ratio of the
     medians (None if the before median is 0), the seed pairs whose after
     run was better, and the before side's interquartile range (the default

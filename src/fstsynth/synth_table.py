@@ -282,9 +282,9 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
         # cell's count stops once it can no longer win
         best_count, best_weight, best = top + 1, 0, None
         for cell in range((hi + 1) * k):
-            chain = waiting[cell]
-            if chain is not None:
-                mask, weight, _ = chain
+            entry = waiting[cell]
+            if entry is not None:
+                mask, weight, _ = entry
                 limit = best_count if weight > best_weight else best_count - 1
                 count = 0
                 for ex in masks:
