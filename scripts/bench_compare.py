@@ -13,8 +13,9 @@ the before side's interquartile range. It also keeps, per checkout, task
 and state count, how each level was decided (verdict, search nodes,
 clique certificate), from `synthesize_minimal` on the workload's tasks
 as `perfbench/inputs.py` builds them for seed 1; each workload's summary
-says whether those rows are equal in both checkouts (`levels_equal`) and
-lists the rows that differ (`levels_changed`).
+says whether those rows are equal in both checkouts (`levels_equal`),
+lists the rows that differ (`levels_changed`) and says whether every row
+has the same verdict in both (`verdicts_equal`).
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ def summary(runs: dict, medians: dict, end_to_end: list[dict], levels: dict | No
     run was better, and the before side's interquartile range (the default
     method of `statistics.quantiles`; 0 for one seed). Given `levels`
     ({side: {workload: rows}}), each workload also gets `levels_equal` and
-    `levels_changed` from `changed_levels`."""
+    `levels_changed` from `changed_levels`, and `verdicts_equal`: whether
+    each changed row is on both sides with the same verdict."""
     out = {}
     for workload, before_runs in runs["before"].items():
         after_runs, rows = runs["after"][workload], {}
@@ -121,6 +123,9 @@ def summary(runs: dict, medians: dict, end_to_end: list[dict], levels: dict | No
         if levels is not None:
             changed = changed_levels(levels["before"][workload], levels["after"][workload])
             rows["levels_equal"], rows["levels_changed"] = not changed, changed
+            rows["verdicts_equal"] = all(
+                c["before"] and c["after"] and c["before"].get("verdict") == c["after"].get("verdict") for c in changed
+            )
         out[workload] = rows
     return out
 

@@ -6,14 +6,16 @@ nodes and seconds, and the certificate: "search" for a level the search
 decided, "clique" for one the clique refuted with no search.
 
 With --frontier, run instead the tasks the search cannot yet finish or only
-just finishes: palindrome 7 up to 13 states and two random-target tasks,
-each level under a 60 s budget. Per task, one JSON line gives every level
-decided, as above, and the last level refuted, n_min if it was reached,
-else null, and why the run stopped."""
+just finishes: palindrome 7 up to 13 states and three random-target
+tasks, each level under a 60 s budget. Per task, one JSON line gives every
+level decided, as above, and the last level refuted, n_min if it was
+reached, else null, why the run stopped and the process's peak resident
+set size so far, in MB."""
 
 import argparse
 import json
 import random
+import resource
 
 from fstsynth.core import TaskSpec, Transducer, run
 from fstsynth.synth_table import (
@@ -66,6 +68,8 @@ FRONTIER = {
     "pal7": (lambda: gen_palindrome(7), 13),
     "target10-800": (lambda: random_target(10, 800, 16, 0), 16),
     "target12-1000": (lambda: random_target(12, 1000, 16, 0), 16),
+    # a greedy clique of 8 against n_min 12: the search refutes 8 to 11
+    "target12-400": (lambda: random_target(12, 400, 16, 2), 16),
 }
 
 
@@ -112,7 +116,8 @@ def main():
         n_min, levels, stopped = decide(make_task(), SearchConfig(max_states=max_states, time_budget=FRONTIER_SECONDS))
         refuted = [o for o in levels if not o.sat]
         print(json.dumps({"task": name, "n_min": n_min, "levels": [level(o) for o in levels],
-                          "last_refuted": level(refuted[-1]) if refuted else None, "stopped": stopped}), flush=True)
+                          "last_refuted": level(refuted[-1]) if refuted else None, "stopped": stopped,
+                          "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}), flush=True)
 
 
 if __name__ == "__main__":

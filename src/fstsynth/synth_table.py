@@ -129,9 +129,13 @@ class _Budget:
         return SearchStats(nodes, backtracks, time.monotonic() - self.start)
 
 
+FRONTIER_POINTS = 4096  # the most frames a level keeps for the next to resume from
+
+
 class _Tables:
     """What the search and the clique read of one task at every n: its trie,
-    the task words through each trie node and, once needed, the class table."""
+    the task words through each trie node, once needed the class table, and
+    the frontier the last class level searched left, if it was UNSAT."""
 
     def __init__(self, task: TaskSpec):
         self.trie = build_trie(task)
@@ -141,6 +145,7 @@ class _Tables:
                 if c is not None:
                     words[u] += words[c]
         self._table: Optional[tuple] = None
+        self.frontier: Optional[tuple] = None  # (n, points), see synthesize_at
 
     def table(self, clock) -> tuple[list[int], list[tuple], list[int], tuple]:
         """`subtree_classes`, their `incompatibility_table` and their
@@ -202,6 +207,21 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
     trie and table come from `tables`, else are built after the level's
     clock starts, so the time budget and the stats cover them (but not a
     table built before the call); building the table is not a node.
+
+    As the fresh state is tried last, the search at n + 1 makes level n's
+    decisions in level n's order, but at each frame where all n states are
+    in use it then tries state n (the re-expansion of iterative deepening,
+    Korf, AIJ 1985). So a class level below `cfg.max_states` that is UNSAT
+    leaves in `tables` the frames it popped with all n states in use, in
+    the order it popped them (none if there would be more than
+    `FRONTIER_POINTS`), and the next level called with those tables starts
+    from each of them in turn, trying state n there alone, instead of from
+    the root. It makes the same decisions as a search from the root but
+    level n's, so its verdict and witness are the same and its stats count
+    the nodes and backtracks it adds: UNSAT, they are those of a search
+    from the root less level n's. That needs each scan to choose the least
+    cell exactly, so a cell that cannot win even with no admissible state
+    is skipped uncounted.
     """
     if n < 1:
         raise FstError("n must be >= 1")
@@ -270,42 +290,69 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
                 u, q = walk.pop()
         return True
 
-    place((root, None), 0)
+    frontier, tables.frontier = tables.frontier, None
+    # the root, or the frames level n - 1 popped with all its states in use
+    starts = frontier[1] if frontier is not None and frontier[0] == n - 1 else (None,)
+    # (cell, waiting, excluded, delta) of each frame this level pops with
+    # all n states in use, for level n + 1
+    points: Optional[list] = [] if lo < n < cfg.max_states else None
+    fresh = (None,) * k
     next_check = min(budget.node_limit + 1, 4096)
-    nodes = backtracks = hi = 0
-    # [cell, candidates, next index, hi, waiting and excluded before]
+    nodes = backtracks = 0
+    # [cell, candidates, next index, hi, waiting and excluded before]; the
+    # copies are tuples, which the cyclic GC stops tracking
     frames: list[list] = []
-    while True:
-        top = min(hi + 2, n)
-        masks = excluded[:top]  # of the states in use and one fresh state
-        # the least (admissible count, -words through the cell, cell); a
-        # cell's count stops once it can no longer win
-        best_count, best_weight, best = top + 1, 0, None
-        for cell in range((hi + 1) * k):
-            entry = waiting[cell]
-            if entry is not None:
-                mask, weight, _ = entry
-                limit = best_count if weight > best_weight else best_count - 1
-                count = 0
-                for ex in masks:
-                    if not ex & mask:
-                        count += 1
-                        if count > limit:
-                            break
-                else:
-                    best_count, best_weight, best = count, weight, (cell, mask)
-        if best is None:
-            break
-        cell, mask = best
-        candidates = [t for t in range(top) if not excluded[t] & mask]
-        frames.append([cell, candidates, 0, hi, waiting[:], excluded[:]])
-        while frames:
+    for start in starts:
+        if start is None:
+            hi = 0
+            placed = place((root, None), 0)
+        else:  # the frame again, with state n - 1 its one candidate
+            cell, was_waiting, was_excluded, was_delta = start
+            delta[:] = was_delta + fresh
+            frames.append([cell, (n - 1,), 0, n - 2, was_waiting + fresh, was_excluded + (0,)])
+            placed = False
+        while True:
+            if placed:
+                top = min(hi + 2, n)
+                masks = excluded[:top]  # of the states in use and one fresh state
+                # the least (admissible count, -words through the cell, cell);
+                # a cell's count stops once it can no longer win
+                best_count, best_weight, best = top + 1, 0, None
+                for cell in range((hi + 1) * k):
+                    entry = waiting[cell]
+                    if entry is not None:
+                        mask, weight, _ = entry
+                        limit = best_count if weight > best_weight else best_count - 1
+                        if limit < 0:  # not even a count of 0 would win
+                            continue
+                        count = 0
+                        for ex in masks:
+                            if not ex & mask:
+                                count += 1
+                                if count > limit:
+                                    break
+                        else:
+                            best_count, best_weight, best = count, weight, (cell, mask)
+                if best is None:
+                    stats = budget.stats(nodes, backtracks)
+                    return SearchOutcome(n=n, witness=_witness(task, n, delta), stats=stats)
+                cell, mask = best
+                candidates = [t for t in range(top) if not excluded[t] & mask]
+                frames.append([cell, candidates, 0, hi, tuple(waiting), tuple(excluded)])
+            elif not frames:
+                break
             frame = frames[-1]
             cell, candidates, i, hi, waiting[:], excluded[:] = frame
             delta[cell] = None
             backtracks += i > 0  # the candidate tried last is withdrawn
             if i == len(candidates):
                 frames.pop()
+                placed = False
+                if hi == n - 1 and points is not None:
+                    if len(points) < FRONTIER_POINTS:
+                        points.append((cell, frame[4], frame[5], tuple(delta)))
+                    else:
+                        points = None
                 continue
             frame[2] = i + 1
             nodes += 1
@@ -317,14 +364,18 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
             delta[cell] = t
             _, _, chain = waiting[cell]
             waiting[cell] = None  # no node waits on a bound cell
-            if place(chain, t):
-                break
-        else:
-            return SearchOutcome(n=n, witness=None, stats=budget.stats(nodes, backtracks))
-    stats = budget.stats(nodes, backtracks)
+            placed = place(chain, t)
+    if points is not None:
+        tables.frontier = (n, tuple(points))
+    return SearchOutcome(n=n, witness=None, stats=budget.stats(nodes, backtracks))
+
+
+def _witness(task: TaskSpec, n: int, delta: list) -> Transducer:
+    """The machine of the bound cells `delta`, total and verified. Every
+    task word runs on bound cells, and the masks kept the outputs of the
+    words ending on one state equal, so each state gets their output."""
+    k = len(task.input_alphabet)
     rows = [delta[q * k : q * k + k] for q in range(n)]
-    # every task word runs on bound cells, and the masks kept the outputs
-    # of the words ending on one state equal
     step = [dict(zip(task.input_alphabet, row)) for row in rows]
     omega: list[Optional[str]] = [None] * n
     for word, out in task.pairs:
@@ -335,7 +386,7 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
     witness = totalize(Transducer(n, task.input_alphabet, task.output_alphabet, rows, omega))
     if not verify(witness, task).ok:
         raise CheckFailed("search produced a non-verifying witness")
-    return SearchOutcome(n=n, witness=witness, stats=stats)
+    return witness
 
 
 def _bits(x: int):

@@ -349,27 +349,102 @@ class TestSynthesizeMinimal:
          (gen_palindrome(5), 6)],
         ids=["sl12-4", "sl10-5", "zo8", "pal5"],
     )
-    def test_shared_tables_change_no_level(self, task, max_states):
-        searched = []
-
-        def engine(task, n, cfg, **kw):
-            assert "tables" in kw
-            searched.append(synthesize_at(task, n, cfg, **kw))
-            return searched[-1]
-
-        try:
-            synthesize_minimal(task, SearchConfig(max_states=max_states), engine)
-        except NoSolutionWithin:
-            pass
-        assert len(searched) >= 2  # the output count and a level above it
-        for shared in searched:
-            fresh = synthesize_at(task, shared.n)
-            assert (shared.stats.nodes, shared.stats.backtracks) == (fresh.stats.nodes, fresh.stats.backtracks)
-            assert shared.witness == fresh.witness
+    def test_shared_tables_resume_exactly(self, task, max_states):
+        levels = shared_levels(task, max_states)
+        assert len(levels) >= 2  # the output count and a level above it
+        assert_resumed_exactly(task, levels)
 
     def test_max_states_below_lower_bound(self):
         with pytest.raises(NoSolutionWithin):
             synthesize_minimal(word_classification(), SearchConfig(max_states=2))
+
+
+def shared_levels(task, max_states: int) -> list[tuple]:
+    """(outcome, resumed) per level `synthesize_minimal` searches with one
+    `_Tables`: resumed when the level went on from the frontier the level
+    below left."""
+    levels = []
+
+    def engine(task, n, cfg, *, tables):
+        resumed = tables.frontier is not None and tables.frontier[0] == n - 1
+        levels.append((synthesize_at(task, n, cfg, tables=tables), resumed))
+        return levels[-1][0]
+
+    try:
+        synthesize_minimal(task, SearchConfig(max_states=max_states), engine)
+    except NoSolutionWithin:
+        pass
+    return levels
+
+
+def assert_resumed_exactly(task, levels) -> int:
+    """Every level has a fresh call's verdict and witness. A resumed UNSAT
+    level's counts plus a fresh call's one level below are a fresh call's;
+    a resumed SAT level stops inside that sum; any other level's counts
+    are a fresh call's. Returns the levels resumed."""
+    resumed = 0
+    for shared, from_frontier in levels:
+        fresh = synthesize_at(task, shared.n)
+        assert shared.witness == fresh.witness
+        counts = (shared.stats.nodes, shared.stats.backtracks)
+        full = (fresh.stats.nodes, fresh.stats.backtracks)
+        if not from_frontier:
+            assert counts == full
+            continue
+        resumed += 1
+        below = synthesize_at(task, shared.n - 1).stats
+        total = (counts[0] + below.nodes, counts[1] + below.backtracks)
+        if shared.sat:
+            assert counts[0] <= full[0] <= total[0]
+        else:
+            assert total == full
+    return resumed
+
+
+def random_task(seed: int) -> TaskSpec:
+    """Up to 40 distinct words over 0 and 1 (or 0, 1 and 2) of 1 to 7
+    symbols, each labelled at random with one of two or three outputs."""
+    rng = random.Random(seed)
+    symbols, outputs = rng.choice([("01", "ab"), ("01", "abc"), ("012", "ab")])
+    words = {tuple(rng.choice(symbols) for _ in range(rng.randint(1, 7))) for _ in range(rng.randint(4, 40))}
+    return TaskSpec(tuple(symbols), tuple(outputs), tuple((w, rng.choice(outputs)) for w in sorted(words)))
+
+
+class TestFrontier:
+    """A class level below `max_states` keeps the frames it exhausts with
+    all its states in use; the next level searched with the same tables
+    tries only the fresh state on them."""
+
+    def test_differential(self):
+        tasks = [(gen_palindrome(p), 11) for p in (3, 4, 5, 6)]
+        tasks += [(gen_zeroes_or_ones(z), 8) for z in (4, 6, 8)]
+        tasks += [(gen_signal_locator(*p), 9) for p in ((8, 4), (9, 3), (12, 4), (10, 5))]
+        tasks += [(word_classification(), 6)] + [(random_task(seed), 7) for seed in range(200)]
+        resumed = searched = 0
+        for task, max_states in tasks:
+            levels = shared_levels(task, max_states)
+            searched += len(levels)
+            resumed += assert_resumed_exactly(task, levels)
+        assert (searched, resumed) == (642, 236)
+
+    def test_an_overflowed_frontier_searches_from_the_root(self, monkeypatch):
+        # pal5 keeps 17 frames at n=4 and would keep 30 at n=5
+        monkeypatch.setattr(synth_table, "FRONTIER_POINTS", 20)
+        task = gen_palindrome(5)
+        tables = synth_table._Tables(task)
+        synthesize_at(task, 4, tables=tables)
+        assert tables.frontier[0] == 4 and len(tables.frontier[1]) == 17
+        assert synthesize_at(task, 5, tables=tables).stats.nodes == 98 - 48
+        assert tables.frontier is None
+        stats = synthesize_at(task, 6, tables=tables).stats
+        assert (stats.nodes, stats.backtracks) == (305, 305)
+
+    def test_the_level_at_max_states_keeps_nothing(self):
+        task = gen_palindrome(5)
+        tables = synth_table._Tables(task)
+        assert not synthesize_at(task, 6, SearchConfig(max_states=6), tables=tables).sat
+        assert tables.frontier is None
+        assert synthesize_at(task, 7, tables=tables).stats.nodes == synthesize_at(task, 7).stats.nodes
 
 
 @settings(max_examples=60, deadline=None)
