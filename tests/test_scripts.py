@@ -107,32 +107,23 @@ def test_bench_compare_summary():
 
 def test_bench_compare_says_whether_the_levels_moved():
     def side(values):
-        return {w: [{"metrics": {"pairs_per_s.p50": v}} for v in values] for w in ("refute", "wide")}
+        return {w: [{"metrics": {"pairs_per_s.p50": v}} for v in values] for w in ("refute", "wide", "witness")}
 
     runs = {"before": side([100, 110]), "after": side([120, 100])}
-    medians = {s: {w: {"pairs_per_s.p50": 105} for w in ("refute", "wide")} for s in runs}
+    medians = {s: {w: {"pairs_per_s.p50": 105} for w in ("refute", "wide", "witness")} for s in runs}
     pal4 = [{"task": "pal4", "n": n, "verdict": "UNSAT", "nodes": 9, "certificate": "search"} for n in (2, 3)]
     moved = dict(pal4[1], nodes=8)
     error = {"task": "par10", "error": "RecursionError"}
-    levels = {"before": {"refute": pal4, "wide": pal4 + [error]},
-              "after": {"refute": list(pal4), "wide": [pal4[0], moved]}}
+    levels = {"before": {"refute": pal4, "wide": pal4 + [error], "witness": pal4},
+              "after": {"refute": list(pal4), "wide": [pal4[0], moved], "witness": [pal4[0], moved]}}
     metrics = [{"name": "pairs_per_s.p50", "better": "higher"}]
     out = _bench_compare().summary(runs, medians, metrics, levels)
     assert out["refute"]["levels_equal"] is True and out["refute"]["levels_changed"] == []
     assert out["refute"]["verdicts_equal"] is True
     assert out["wide"]["levels_equal"] is False
     assert out["wide"]["verdicts_equal"] is False  # par10's row is gone
+    assert (out["witness"]["levels_equal"], out["witness"]["verdicts_equal"]) == (False, True)  # nodes alone moved
     assert out["wide"]["levels_changed"] == [{"before": pal4[1], "after": moved}, {"before": error, "after": None}]
     assert out["wide"]["pairs_per_s.p50"]["after_wins"] == 1
     assert "levels_equal" not in _bench_compare().summary(runs, medians, metrics)["refute"]
 
-
-def test_bench_compare_tells_moved_counts_from_moved_verdicts():
-    runs = {side: {"refute": [{"metrics": {"pairs_per_s.p50": 100}}]} for side in ("before", "after")}
-    medians = {side: {"refute": {"pairs_per_s.p50": 100}} for side in runs}
-    pal4 = {"task": "pal4", "n": 3, "verdict": "UNSAT", "nodes": 9, "certificate": "search"}
-    metrics = [{"name": "pairs_per_s.p50", "better": "higher"}]
-    for after, verdicts_equal in ((dict(pal4, nodes=4), True), (dict(pal4, verdict="SAT"), False)):
-        levels = {"before": {"refute": [pal4]}, "after": {"refute": [after]}}
-        rows = _bench_compare().summary(runs, medians, metrics, levels)["refute"]
-        assert (rows["levels_equal"], rows["verdicts_equal"]) == (False, verdicts_equal)
