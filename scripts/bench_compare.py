@@ -12,10 +12,11 @@ after/before ratio of the medians, the seed pairs the after side won and
 the before side's interquartile range. It also keeps, per checkout, task
 and state count, how each level was decided (verdict, search nodes,
 clique certificate), from `synthesize_minimal` on the workload's tasks
-as `perfbench/inputs.py` builds them for seed 1; each workload's summary
-says whether those rows are equal in both checkouts (`levels_equal`),
-lists the rows that differ (`levels_changed`) and says whether every row
-has the same verdict in both (`verdicts_equal`).
+as `perfbench/inputs.py` builds them for seed 1, recorded by
+`scripts/stress.py`'s `decide` against the checkout's `src/`; each
+workload's summary says whether those rows are equal in both checkouts
+(`levels_equal`), lists the rows that differ (`levels_changed`) and says
+whether every row has the same verdict in both (`verdicts_equal`).
 """
 
 from __future__ import annotations
@@ -32,37 +33,21 @@ from pathlib import Path
 
 
 def levels(checkout: Path, workload: str) -> list[dict]:
-    """Every level `synthesize_minimal` decides for each workload task,
-    in the program of `checkout`. Levels without a search carry the clique."""
-    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    """Every level `synthesize_minimal` decides for each workload task, as
+    `stress.decide` records them, in the program of `checkout`. Levels
+    without a search carry the clique."""
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench"), str(Path(__file__).resolve().parent)]
     import inputs
-    from fstsynth.synth_table import NoSolutionWithin, SearchConfig, synthesize_at, synthesize_minimal
+    import stress
+    from fstsynth.synth_table import SearchConfig
     from fstsynth.tasks import parse_task
 
     rows = []
     for bench_task in inputs.WORKLOADS[workload](1):
-        task = parse_task(bench_task.text())
-        searched = {}
-
-        def engine(task, n, cfg, **kw):  # older checkouts pass no keywords
-            searched[n] = synthesize_at(task, n, cfg, **kw)
-            return searched[n]
-
-        trail, error = [], None
-        try:
-            _, _, trail = synthesize_minimal(task, SearchConfig(max_states=bench_task.max_states or 16), engine)
-        except NoSolutionWithin as e:
-            trail = getattr(e, "trail", ())
-        except Exception as e:  # recorded, e.g. a RecursionError on a large task
-            error = type(e).__name__
-        decided = {o.n: o for o in trail} | searched
-        for n, o in sorted(decided.items()):
-            clique = getattr(o, "clique", ())
-            rows.append({"task": bench_task.name, "n": n, "verdict": "SAT" if o.sat else "UNSAT",
-                         "nodes": o.stats.nodes,
-                         "certificate": ["".join(w) for w in clique] if clique else "search"})
-        if error:
-            rows.append({"task": bench_task.name, "error": error})
+        cfg = SearchConfig(max_states=bench_task.max_states or SearchConfig.max_states)
+        _, decided, _ = stress.decide(parse_task(bench_task.text()), cfg)
+        rows += [{"task": bench_task.name, "n": o.n, "verdict": "SAT" if o.sat else "UNSAT", "nodes": o.stats.nodes,
+                  "certificate": ["".join(w) for w in o.clique] if o.clique else "search"} for o in decided]
     return rows
 
 

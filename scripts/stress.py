@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
 """Stress tier: decide the larger tasks with `synthesize_minimal`, up to 12
-states and with no budget, and print one JSON line per task: its n_min and,
-per level from the output lower bound to n_min, the verdict, the search
-nodes and seconds, and the certificate: "search" for a level the search
-decided, "clique" for one the clique refuted with no search.
+states and with no budget. With --frontier, run instead the frontier tier,
+the tasks the search cannot yet finish or only just finishes: palindrome 7
+up to 13 states and three random-target tasks, each level under a 60 s
+budget.
 
-With --frontier, run instead the tasks the search cannot yet finish or only
-just finishes: palindrome 7 up to 13 states and three random-target
-tasks, each level under a 60 s budget. Per task, one JSON line gives every
-level decided, as above, and the last level refuted, n_min if it was
-reached, else null, why the run stopped and the process's peak resident
-set size so far, in MB."""
+Each task runs in a fresh process, one at a time in table order, and
+prints one JSON line: its n_min, or null if it was not reached; per level
+decided, the verdict, the search nodes and seconds, and the certificate,
+"search" for a level the search decided, "clique" for one the clique
+refuted with no search; the last level refuted, or null; why the run
+stopped, null once n_min is reached; and the peak resident set size of
+the task's process, in MB.
+
+`random_target` and `decide` are the one random-target generator and the
+one level recorder of the tests and `scripts/bench_compare.py`."""
 
 import argparse
 import json
+import multiprocessing
 import random
 import resource
 
@@ -32,16 +37,6 @@ from fstsynth.tasks import (
     gen_zeroes_or_ones,
     word_classification,
 )
-
-TASKS = {
-    "pal5": lambda: gen_palindrome(5),
-    "pal6": lambda: gen_palindrome(6),
-    "sl12-4": lambda: gen_signal_locator(12, 4),
-    "sl10-5": lambda: gen_signal_locator(10, 5),
-    "zo8": lambda: gen_zeroes_or_ones(8),
-    "par12": lambda: gen_parity(12),
-    "words": word_classification,
-}
 
 
 def random_target(k: int, m: int, length: int, seed: int) -> TaskSpec:
@@ -62,14 +57,31 @@ def random_target(k: int, m: int, length: int, seed: int) -> TaskSpec:
     return TaskSpec(("0", "1"), ("a", "b"), tuple((w, run(machine, w)) for w in sorted(words)))
 
 
-FRONTIER_SECONDS = 60.0  # per level
-# name: (task, max_states)
-FRONTIER = {
-    "pal7": (lambda: gen_palindrome(7), 13),
-    "target10-800": (lambda: random_target(10, 800, 16, 0), 16),
-    "target12-1000": (lambda: random_target(12, 1000, 16, 0), 16),
-    # a greedy clique of 8 against n_min 12: the search refutes 8 to 11
-    "target12-400": (lambda: random_target(12, 400, 16, 2), 16),
+STRESS = SearchConfig(max_states=12)
+
+
+def frontier(max_states):
+    return SearchConfig(max_states=max_states, time_budget=60.0)  # seconds per level
+
+
+# tier: {name: (task, search config)}
+TIERS = {
+    "stress": {
+        "pal5": (lambda: gen_palindrome(5), STRESS),
+        "pal6": (lambda: gen_palindrome(6), STRESS),
+        "sl12-4": (lambda: gen_signal_locator(12, 4), STRESS),
+        "sl10-5": (lambda: gen_signal_locator(10, 5), STRESS),
+        "zo8": (lambda: gen_zeroes_or_ones(8), STRESS),
+        "par12": (lambda: gen_parity(12), STRESS),
+        "words": (word_classification, STRESS),
+    },
+    "frontier": {
+        "pal7": (lambda: gen_palindrome(7), frontier(13)),
+        "target10-800": (lambda: random_target(10, 800, 16, 0), frontier(16)),
+        "target12-1000": (lambda: random_target(12, 1000, 16, 0), frontier(16)),
+        # a greedy clique of 8 against n_min 12: the search refutes 8 to 11
+        "target12-400": (lambda: random_target(12, 400, 16, 2), frontier(16)),
+    },
 }
 
 
@@ -103,21 +115,24 @@ def decide(task, cfg):
         return None, [o for o in searched if o.n < e.n], f"{e.kind} budget at {e.n} states"
 
 
+def row(tier, name):
+    """The printed line of one tier task, in the process that decides it."""
+    make_task, cfg = TIERS[tier][name]
+    n_min, levels, stopped = decide(make_task(), cfg)
+    refuted = [o for o in levels if not o.sat]
+    return {"task": name, "n_min": n_min, "levels": [level(o) for o in levels],
+            "last_refuted": level(refuted[-1]) if refuted else None, "stopped": stopped,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--frontier", action="store_true", help="run the frontier tier instead")
-    args = parser.parse_args()
-    if not args.frontier:
-        for name, make_task in TASKS.items():
-            n_min, levels, _ = decide(make_task(), SearchConfig(max_states=12))
-            print(json.dumps({"task": name, "n_min": n_min, "levels": [level(o) for o in levels]}), flush=True)
-        return
-    for name, (make_task, max_states) in FRONTIER.items():
-        n_min, levels, stopped = decide(make_task(), SearchConfig(max_states=max_states, time_budget=FRONTIER_SECONDS))
-        refuted = [o for o in levels if not o.sat]
-        print(json.dumps({"task": name, "n_min": n_min, "levels": [level(o) for o in levels],
-                          "last_refuted": level(refuted[-1]) if refuted else None, "stopped": stopped,
-                          "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}), flush=True)
+    tier = "frontier" if parser.parse_args().frontier else "stress"
+    # a fresh process per task, as ru_maxrss is the peak of the process so far
+    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+        for name in TIERS[tier]:
+            print(json.dumps(pool.apply(row, (tier, name))), flush=True)
 
 
 if __name__ == "__main__":

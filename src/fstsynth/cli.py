@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     machine.add_argument("--nil-sink", action="store_true", help="route undefined cells to a nil node in DOT")
 
     p = sub.add_parser("synth", parents=[machine], help="synthesize a state-minimal transducer")
-    p.add_argument("--max-states", type=int, default=16)
+    p.add_argument("--max-states", type=int, default=SearchConfig.max_states)
     p.add_argument("--budget-nodes", type=int, default=None, help="search nodes per state count")
     p.add_argument("--budget-seconds", type=float, default=None)
 

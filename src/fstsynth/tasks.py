@@ -79,17 +79,9 @@ _WORD_GROUPS = (
 def word_classification() -> TaskSpec:
     """The fixed ten-word language-classification corpus; the input
     alphabet is the 17 letters occurring in it."""
-    pairs = []
-    letters: list[str] = []
-    seen = set()
-    for words, lang in _WORD_GROUPS:
-        for word in words:
-            pairs.append((tuple(word), lang))
-            for c in word:
-                if c not in seen:
-                    seen.add(c)
-                    letters.append(c)
-    return TaskSpec(tuple(sorted(letters)), ("en", "jp", "hu"), tuple(pairs))
+    pairs = tuple((tuple(word), lang) for words, lang in _WORD_GROUPS for word in words)
+    letters = sorted({c for word, _ in pairs for c in word})
+    return TaskSpec(tuple(letters), ("en", "jp", "hu"), pairs)
 
 
 GENERATORS = {

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
@@ -18,6 +21,15 @@ def sorted_pairs(task, key):
     """task with its pairs in a stable sort by key: the search walks pairs
     in task order, so this is how a test picks the word order."""
     return TaskSpec(task.input_alphabet, task.output_alphabet, tuple(sorted(task.pairs, key=key)))
+
+
+def load_script(path):
+    """The module in the file at `path`, relative to the repository root:
+    scripts/ and perfbench/ are not packages."""
+    spec = importlib.util.spec_from_file_location(Path(path).stem, Path(__file__).resolve().parents[1] / path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

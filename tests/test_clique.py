@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from conftest import load_script
 from fstsynth.core import CheckFailed, TaskSpec, Transducer, run
 from fstsynth.oracle import oracle_min, oracle_sat
 from fstsynth import synth_table
@@ -31,6 +32,8 @@ from fstsynth.tasks import (
     gen_zeroes_or_ones,
     word_classification,
 )
+
+random_target = load_script("scripts/stress.py").random_target
 
 
 def assert_pairwise_incompatible(task, prefixes):
@@ -163,23 +166,6 @@ def test_bad_certificate_is_rejected(monkeypatch):
         incompatibility_clique(task)
 
 
-def _target_task(seed, k, m, length):
-    """m distinct binary words of 1 to `length` symbols, labelled by a random
-    k-state machine over two outputs."""
-    rng = random.Random(seed)
-    machine = Transducer(
-        k,
-        ("0", "1"),
-        ("a", "b"),
-        tuple(tuple(rng.randrange(k) for _ in range(2)) for _ in range(k)),
-        tuple(rng.choice("ab") for _ in range(k)),
-    )
-    words = set()
-    while len(words) < m:
-        words.add(tuple(rng.choice("01") for _ in range(rng.randint(1, length))))
-    return TaskSpec(("0", "1"), ("a", "b"), tuple((w, run(machine, w)) for w in sorted(words)))
-
-
 def _labelled_task(seed, m, shortest, longest):
     """m random binary words of `shortest` to `longest` symbols with random
     labels: few of their prefixes share a completion, so the graph is sparse."""
@@ -192,7 +178,7 @@ def _labelled_task(seed, m, shortest, longest):
     "task",
     [gen_zeroes_or_ones(6), gen_palindrome(5), gen_palindrome(6), gen_signal_locator(9, 3),
      gen_signal_locator(12, 4), gen_parity(6), word_classification(),
-     _target_task(1, 5, 60, 8), _target_task(2, 8, 120, 10), _labelled_task(3, 40, 4, 10)],
+     random_target(5, 60, 8, 1), random_target(8, 120, 10, 2), _labelled_task(3, 40, 4, 10)],
     ids=["zo6", "pal5", "pal6", "sl9-3", "sl12-4", "par6", "words", "target-5", "target-8", "labelled"],
 )
 def test_table_rows_match_pairwise_recomputation(task):
