@@ -7,10 +7,10 @@ import argparse
 import pathlib
 import sys
 
-from fstsynth.cli import BENCH_ROWS, bench_table, format_bench
+from fstsynth.cli import BENCH_CONFIG, BENCH_ROWS, bench_table, format_bench
 from fstsynth.core import defined_map_count, prune
 from fstsynth.serialize import serialize_transducer, to_dot
-from fstsynth.synth_table import SearchConfig, synthesize_minimal
+from fstsynth.synth_table import synthesize_minimal
 from fstsynth.trie import build_trie, minimize
 
 
@@ -24,7 +24,7 @@ def main():
     for name, make_task, *_ in BENCH_ROWS:
         task = make_task()
         slug = name.lower().replace(" ", "_").replace("-", "_")
-        n_min, witness, trail = synthesize_minimal(task, SearchConfig(max_states=8))
+        n_min, witness, trail = synthesize_minimal(task, BENCH_CONFIG)
         pruned = prune(witness, task)
         d, o = defined_map_count(pruned)
         print(f"{name}: minimal {n_min} states, {d} delta / {o} omega maps defined")

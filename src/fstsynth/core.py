@@ -19,23 +19,11 @@ Word = tuple[str, ...]
 
 
 class FstError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class TaskError(FstError):
-    """Invalid task construction."""
-
-
-class ContradictoryPair(TaskError):
-    def __init__(self, word: Word, out_a: str, out_b: str):
-        self.word = word
-        super().__init__(
-            f"word {''.join(word)!r} mapped to both {out_a!r} and {out_b!r}"
-        )
-
-
-class EmptyTask(TaskError):
-    pass
+    """The input or the caller is at fault: a malformed task or machine, or
+    a call outside an operation's domain; the CLI exits 2 with its message.
+    Only what a caller tells apart has a subclass: `FormatError` (with its
+    line), the three walk failures, which `verify` collects and `fstsynth
+    run` exits 1 on, and the search's two stops in `synth_table` (exit 1)."""
 
 
 class UnknownSymbol(FstError):
@@ -61,17 +49,10 @@ class UndefinedOutput(FstError):
         super().__init__(f"undefined output at state {state}")
 
 
-class PreconditionViolated(FstError):
-    pass
-
-
-class InvalidPermutation(FstError):
-    pass
-
-
-class CheckFailed(FstError):
+class CheckFailed(Exception):
     """An internal consistency check failed: a bug in this package, never
-    a property of the input. Raised explicitly, so it survives `python -O`."""
+    a property of the input, so not an FstError; the console entry reports
+    it as exit 3. Raised explicitly, so it survives `python -O`."""
 
 
 class FormatError(FstError):
@@ -95,9 +76,9 @@ def _check_alphabet(symbols: Sequence[str], kind: str) -> tuple[str, ...]:
     seen = set()
     for s in symbols:
         if not s or any(c.isspace() for c in s) or s == UNDEFINED_TOKEN:
-            raise TaskError(f"invalid {kind} symbol {s!r}")
+            raise FstError(f"invalid {kind} symbol {s!r}")
         if s in seen:
-            raise TaskError(f"duplicate {kind} symbol {s!r}")
+            raise FstError(f"duplicate {kind} symbol {s!r}")
         seen.add(s)
     return tuple(symbols)
 
@@ -128,7 +109,7 @@ class TaskSpec:
         for word, out in self.pairs:
             word = tuple(word)
             if not word:
-                raise TaskError("words must be non-empty")
+                raise FstError("words must be non-empty")
             if not inputs.issuperset(word):
                 sym = next(sym for sym in word if sym not in inputs)
                 raise UnknownSymbol(sym, self.input_alphabet)
@@ -136,12 +117,12 @@ class TaskSpec:
                 raise UnknownSymbol(out, self.output_alphabet)
             if word in seen:
                 if seen[word] != out:
-                    raise ContradictoryPair(word, seen[word], out)
+                    raise FstError(f"word {''.join(word)!r} mapped to both {seen[word]!r} and {out!r}")
                 continue
             seen[word] = out
             deduped.append((word, out))
         if not deduped:
-            raise EmptyTask("a task needs at least one (word, output) pair")
+            raise FstError("a task needs at least one (word, output) pair")
         object.__setattr__(self, "pairs", tuple(deduped))
 
     def used_outputs(self) -> tuple[str, ...]:
@@ -255,8 +236,8 @@ def prune(t: Transducer, task: TaskSpec) -> Transducer:
     """Drop every delta cell and omega entry no task word touches.
 
     Requires t to verify the task: each pair is walked once, and the first
-    that does not reproduce raises PreconditionViolated. The pruned machine
-    still verifies the task.
+    that does not reproduce raises FstError. The pruned machine still
+    verifies the task.
     """
     idx = t.symbol_index
     delta = [[None] * len(t.input_alphabet) for _ in range(t.n_states)]
@@ -267,7 +248,7 @@ def prune(t: Transducer, task: TaskSpec) -> Transducer:
         except (UndefinedTransition, UnknownSymbol):
             states = None
         if states is None or t.omega[states[-1]] != out:
-            raise PreconditionViolated("prune requires a verifying transducer")
+            raise FstError("prune requires a verifying transducer")
         for q, sym, r in zip(states, word, states[1:]):
             delta[q][idx[sym]] = r
         omega[states[-1]] = out
@@ -296,9 +277,9 @@ def relabel(t: Transducer, perm: Sequence[int]) -> Transducer:
     """Rename states by a permutation fixing 0; the realized word function
     is unchanged."""
     if sorted(perm) != list(range(t.n_states)):
-        raise InvalidPermutation(f"not a permutation of 0..{t.n_states - 1}")
+        raise FstError(f"not a permutation of 0..{t.n_states - 1}")
     if perm[0] != 0:
-        raise InvalidPermutation("permutation must fix the initial state 0")
+        raise FstError("permutation must fix the initial state 0")
     n = t.n_states
     delta: list[list[Optional[int]]] = [[None] * len(t.input_alphabet) for _ in range(n)]
     omega: list[Optional[str]] = [None] * n

@@ -16,11 +16,6 @@ from .synth_table import NoSolutionWithin, search_space_size
 DEFAULT_CAP = 10**8
 
 
-class CapExceeded(FstError):
-    def __init__(self, size: int, cap: int):
-        super().__init__(f"enumeration size {size} exceeds cap {cap}")
-
-
 def oracle_sat(
     task: TaskSpec, n: int, cap: int = DEFAULT_CAP
 ) -> tuple[bool, Optional[Transducer]]:
@@ -30,7 +25,7 @@ def oracle_sat(
     sym_index = {s: i for i, s in enumerate(task.input_alphabet)}
     size = search_space_size(n, k, len(task.output_alphabet))
     if size > cap:
-        raise CapExceeded(size, cap)
+        raise FstError(f"enumeration size {size} exceeds cap {cap}")
     words = [tuple(sym_index[s] for s in w) for w, _ in task.pairs]
     outs = [out for _, out in task.pairs]
 

@@ -17,11 +17,6 @@ from typing import Callable
 from .core import FormatError, FstError, TaskSpec, Word, content_lines
 
 
-class NonDivisible(FstError):
-    def __init__(self, n: int, k: int):
-        super().__init__(f"k={k} does not divide n={n}")
-
-
 def _binary_task(length: int, outputs: tuple[str, ...], label: Callable[[Word], str]) -> TaskSpec:
     """All binary words of the given length in lexicographic order, each
     paired with label(word)."""
@@ -42,7 +37,7 @@ def gen_signal_locator(n: int, k: int) -> TaskSpec:
     if n < 1 or k < 1:
         raise FstError("n and k must be >= 1")
     if n % k != 0:
-        raise NonDivisible(n, k)
+        raise FstError(f"k={k} does not divide n={n}")
     outputs = tuple(str(b) for b in range(1, k + 1))
     pairs = []
     for i in range(1, n + 1):
@@ -131,11 +126,17 @@ def parse_task(text: str) -> TaskSpec:
     return TaskSpec(*alphabets, tuple(pairs))
 
 
+def chars_mode(alphabet) -> bool:
+    """True iff every symbol of the input alphabet is one character: then a
+    word is written as its characters, else as comma-separated tokens."""
+    return all(len(s) == 1 for s in alphabet)
+
+
 def write_task(task: TaskSpec) -> str:
     """Serialize to IOPAIRS/1; parse(write(task)) == task. Raises FstError
     for a word starting with "#" or "@", or a tokens-mode word symbol
     containing ",", which would not read back."""
-    chars_ok = all(len(s) == 1 for s in task.input_alphabet)
+    chars_ok = chars_mode(task.input_alphabet)
     lines = []
     if not chars_ok:
         lines.append("@mode tokens")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import CheckFailed, PreconditionViolated, TaskSpec, Transducer, verify
+from .core import CheckFailed, FstError, TaskSpec, Transducer, verify
 
 
 def build_trie(task: TaskSpec) -> Transducer:
@@ -43,7 +43,7 @@ def subtree_classes(t: Transducer) -> tuple[list[int], list[tuple]]:
     A state is classed after its successors, so a class is numbered after
     theirs. Roots go from the highest state down: `build_trie` numbers each
     child after its parent, so in a trie no state waits on a successor. A
-    successor that is itself waiting raises PreconditionViolated (a cycle)."""
+    successor that is itself waiting raises FstError (a cycle)."""
     delta, omega = t.delta, t.omega
     cls = [-2] * t.n_states  # -2: not classed yet
     waiting = bytearray(t.n_states)  # set once a state waits; unclassed and set: on the path
@@ -57,7 +57,7 @@ def subtree_classes(t: Transducer) -> tuple[list[int], list[tuple]]:
                 waiting[u] = 1
                 c = delta[u][succ.index(-2)]
                 if waiting[c]:
-                    raise PreconditionViolated("the transducer has a cycle")
+                    raise FstError("the transducer has a cycle")
                 path.append(c)
             else:
                 cls[u] = signatures.setdefault((omega[u], succ), len(signatures))
@@ -86,11 +86,11 @@ def minimize(t: Transducer, task: TaskSpec) -> Transducer:
     subtrees: equal output and, per input symbol, equal successor classes
     (undefined successor counting as its own class). The classes come from
     one depth-first pass (Revuz, TCS 1992) and are numbered in
-    `breadth_first` order from the initial class; a cycle raises
-    PreconditionViolated. The quotient map is checked to be a morphism, so
-    the quotient gives t's output on every word, and t is walked through
-    the task only when the quotient fails to verify: PreconditionViolated
-    if t does not verify either, else CheckFailed."""
+    `breadth_first` order from the initial class; a cycle raises FstError.
+    The quotient map is checked to be a morphism, so the quotient gives t's
+    output on every word, and t is walked through the task only when the
+    quotient fails to verify: FstError if t does not verify either, else
+    CheckFailed."""
     cls, classes = subtree_classes(t)
     order = list(breadth_first(cls, classes))
     if len(order) < len(classes):  # unreachable classes (none for tries) go after, in state order
@@ -109,6 +109,6 @@ def minimize(t: Transducer, task: TaskSpec) -> Transducer:
     result = Transducer(len(classes), t.input_alphabet, t.output_alphabet, delta, omega)
     if not verify(result, task).ok:
         if not verify(t, task).ok:
-            raise PreconditionViolated("minimize requires a verifying transducer")
+            raise FstError("minimize requires a verifying transducer")
         raise CheckFailed("the minimized transducer does not verify")
     return result

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import tiny_tasks
-from fstsynth.core import TaskSpec, verify
-from fstsynth.oracle import CapExceeded, oracle_min, oracle_sat
+from fstsynth.core import FstError, TaskSpec, verify
+from fstsynth.oracle import oracle_min, oracle_sat
 from fstsynth.synth_table import NoSolutionWithin, SearchConfig, synthesize_minimal
 from fstsynth.tasks import gen_parity
 
@@ -47,7 +47,7 @@ def test_no_solution_within():
 
 
 def test_cap_exceeded():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(FstError, match="^enumeration size 102400000000000000000000 exceeds cap 1000000$"):
         oracle_sat(gen_parity(2), 10, cap=10**6)
 
 

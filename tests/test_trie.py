@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import PARITY, tiny_tasks
 from fstsynth.cli import BENCH_ROWS
-from fstsynth.core import PreconditionViolated, TaskSpec, Transducer, relabel, verify
+from fstsynth.core import FstError, TaskSpec, Transducer, relabel, verify
 from fstsynth.serialize import serialize_transducer
 from fstsynth.synth_table import SearchConfig, synthesize_minimal
 from fstsynth.tasks import (
@@ -88,7 +88,7 @@ class TestMinimize:
 
     def test_requires_verifying_machine(self):
         t = build_trie(gen_parity(2))
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(FstError, match="^minimize requires a verifying transducer$"):
             minimize(t, gen_signal_locator(9, 3))
 
     def test_walks_only_the_quotient_when_it_verifies(self, monkeypatch):
@@ -99,7 +99,7 @@ class TestMinimize:
         assert walked == [m]
 
     def test_cyclic_machine_rejected(self):
-        with pytest.raises(PreconditionViolated, match="cycle"):
+        with pytest.raises(FstError, match="^the transducer has a cycle$"):
             minimize(PARITY, gen_parity(2))
 
     # sha256 of the FST/1 text of each minimized bench trie, as written by
@@ -149,20 +149,20 @@ def test_minimized_states_are_distinct(task):
 
 
 def test_subtree_classes_reject_a_cycle():
-    with pytest.raises(PreconditionViolated, match="cycle"):
+    with pytest.raises(FstError, match="^the transducer has a cycle$"):
         subtree_classes(PARITY)
 
 
 def test_subtree_classes_reject_a_cycle_reachable_only_from_a_high_state():
     # 0 -> 1 is a trie; 2 <-> 3 is a cycle that only state 4 leads into
     t = Transducer(5, ("a",), ("r",), ((1,), (None,), (3,), (2,), (2,)), (None, "r", None, None, None))
-    with pytest.raises(PreconditionViolated, match="cycle"):
+    with pytest.raises(FstError, match="^the transducer has a cycle$"):
         subtree_classes(t)
 
 
 def test_subtree_classes_reject_a_self_loop():
     t = Transducer(3, ("a", "b"), ("r",), ((1, 2), (None, 1), (None, None)), (None, None, "r"))
-    with pytest.raises(PreconditionViolated, match="cycle"):
+    with pytest.raises(FstError, match="^the transducer has a cycle$"):
         subtree_classes(t)
 
 
