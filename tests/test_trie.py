@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PARITY, tiny_tasks
+from conftest import PARITY, load_script, tiny_tasks
 from fstsynth.cli import BENCH_ROWS
 from fstsynth.core import FstError, TaskSpec, Transducer, relabel, verify
 from fstsynth.serialize import serialize_transducer
@@ -15,10 +15,13 @@ from fstsynth.tasks import (
     gen_parity,
     gen_signal_locator,
     gen_zeroes_or_ones,
+    parse_task,
     word_classification,
 )
 from fstsynth import trie as trie_module
 from fstsynth.trie import build_trie, minimize, subtree_classes
+
+random_target = load_script("scripts/stress.py").random_target
 
 
 def w(s):
@@ -45,6 +48,28 @@ class TestBuildTrie:
         # 7 prefixes, outputs on the 4 leaves only
         assert t.n_states == 7
         assert sum(1 for o in t.omega if o is not None) == 4
+
+    # sha256 of the FST/1 text of each trie, the file `fstsynth trie`
+    # writes without --minimize: it pins the state numbering
+    @pytest.mark.parametrize(
+        "make_task, n_states, digest",
+        [
+            (BENCH_ROWS[0][1], 54, "a97b477c23b66f74f4f21855fa9a54d70c40ad744667841c82575d8b438d5ac7"),
+            (BENCH_ROWS[1][1], 44, "133f9bf70c062e3edd246700b48889285e6176df45b3e862866e4421a9298f90"),
+            (BENCH_ROWS[2][1], 31, "4a9ffbf6a62c19c1d34e054e1bd497e59f483edf6cbe50fa8d084c7835155d53"),
+            (BENCH_ROWS[3][1], 31, "9633712bcb473cec2113e1c49924269b75754bd1c498bfb3855be7d4371f5faa"),
+            (BENCH_ROWS[4][1], 64, "a002bdc6a5c05136f3b2180b23416e8334c4ea53ccda036c112a4403261aa8e1"),
+            (lambda: parse_task("@mode tokens\nfoo,bar x\nbar y\nfoo,foo,bar y\nbaz,foo x\nfoo z\n"),
+             8, "e3ad3dff3f7eed559b6c7afe31e50ac5ae3fd11d4321b2a2ab80bf2e2a25fa4d"),
+            (lambda: random_target(8, 120, 10, 2),
+             259, "71139fc0b62f55ffa8694dc8e5cf99e4fd151f8416982b964b6ff5ad25091283"),
+        ],
+        ids=["sl9-3", "sl8-4", "zo4", "pal4", "words", "tokens", "target8-120"],
+    )
+    def test_pinned_numbering(self, make_task, n_states, digest):
+        t = build_trie(make_task())
+        assert t.n_states == n_states
+        assert hashlib.sha256(serialize_transducer(t).encode()).hexdigest() == digest
 
 
 class TestMinimize:
