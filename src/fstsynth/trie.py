@@ -18,22 +18,27 @@ from .core import CheckFailed, FstError, TaskSpec, Transducer, verify
 
 def build_trie(task: TaskSpec) -> Transducer:
     """One state per distinct prefix of the task words (state 0 is the
-    empty prefix); outputs defined exactly on full-word states."""
+    empty prefix), numbered in order of first appearance; outputs defined
+    exactly on full-word states. The cells grow as one flat list, cell
+    q * k + a, a blank row appended per new state."""
     k = len(task.input_alphabet)
     sym_index = {s: i for i, s in enumerate(task.input_alphabet)}
-    delta: list[list[Optional[int]]] = [[None] * k]
+    blank = (None,) * k
+    cells: list[Optional[int]] = list(blank)
     omega: list[Optional[str]] = [None]
     for word, out in task.pairs:
         q = 0
         for sym in word:
-            a = sym_index[sym]
-            if delta[q][a] is None:
-                delta.append([None] * k)
+            cell = q * k + sym_index[sym]
+            r = cells[cell]
+            if r is None:
+                r = cells[cell] = len(omega)
+                cells += blank
                 omega.append(None)
-                delta[q][a] = len(delta) - 1
-            q = delta[q][a]
+            q = r
         omega[q] = out  # TaskSpec rules out conflicting assignments
-    return Transducer(len(delta), task.input_alphabet, task.output_alphabet, delta, omega)
+    rows = zip(*[iter(cells)] * k)  # k cells at a time, as tuples
+    return Transducer(len(omega), task.input_alphabet, task.output_alphabet, tuple(rows), omega)
 
 
 def subtree_classes(t: Transducer) -> tuple[list[int], list[tuple]]:
@@ -42,26 +47,29 @@ def subtree_classes(t: Transducer) -> tuple[list[int], list[tuple]]:
     and classes[c] is (output, successor classes with -1 for undefined).
     A state is classed after its successors, so a class is numbered after
     theirs. Roots go from the highest state down: `build_trie` numbers each
-    child after its parent, so in a trie no state waits on a successor. A
-    successor that is itself waiting raises FstError (a cycle)."""
+    child after its parent, so in a trie every successor of a root is
+    classed already and the root is classed at once. A state with a
+    successor not classed yet waits on an explicit path, and a successor
+    that is itself waiting raises FstError (a cycle)."""
     delta, omega = t.delta, t.omega
     cls = [-2] * t.n_states  # -2: not classed yet
     waiting = bytearray(t.n_states)  # set once a state waits; unclassed and set: on the path
     signatures: dict[tuple, int] = {}
+    path: list[int] = []  # the waiting states above u, empty between roots
     for root in range(t.n_states - 1, -1, -1):
-        path = [root] if cls[root] == -2 else []
-        while path:
-            u = path[-1]
+        u = root if cls[root] == -2 else None
+        while u is not None:
             succ = tuple([-1 if c is None else cls[c] for c in delta[u]])
             if -2 in succ:  # u waits on its first successor not classed yet
                 waiting[u] = 1
                 c = delta[u][succ.index(-2)]
                 if waiting[c]:
                     raise FstError("the transducer has a cycle")
-                path.append(c)
+                path.append(u)
+                u = c
             else:
                 cls[u] = signatures.setdefault((omega[u], succ), len(signatures))
-                path.pop()
+                u = path.pop() if path else None
     return cls, list(signatures)
 
 
