@@ -8,7 +8,7 @@ import pathlib
 import sys
 
 from fstsynth.cli import BENCH_CONFIG, BENCH_ROWS, bench_table, format_bench
-from fstsynth.core import defined_map_count, prune
+from fstsynth.core import defined_map_count
 from fstsynth.serialize import serialize_transducer, to_dot
 from fstsynth.synth_table import synthesize_minimal
 from fstsynth.trie import build_trie, minimize
@@ -25,13 +25,12 @@ def main():
         task = make_task()
         slug = name.lower().replace(" ", "_").replace("-", "_")
         n_min, witness, trail = synthesize_minimal(task, BENCH_CONFIG)
-        pruned = prune(witness, task)
-        d, o = defined_map_count(pruned)
+        d, o = defined_map_count(witness)
         print(f"{name}: minimal {n_min} states, {d} delta / {o} omega maps defined")
         for outcome in trail:
             print(f"  UNSAT at {outcome.n} ({outcome.stats.nodes} nodes)")
-        (out / f"{slug}.fst").write_text(serialize_transducer(pruned))
-        (out / f"{slug}.dot").write_text(to_dot(pruned, show_nil_sink=True))
+        (out / f"{slug}.fst").write_text(serialize_transducer(witness))
+        (out / f"{slug}.dot").write_text(to_dot(witness, show_nil_sink=True))
         mini = minimize(build_trie(task), task)
         (out / f"{slug}_trie_min.dot").write_text(to_dot(mini))
 

@@ -34,7 +34,7 @@ from .core import (
     UndefinedOutput,
     UndefinedTransition,
     defined_map_count,
-    prune,
+    prune,  # perfbench/spans.py wraps cli.prune; the search's witness comes pruned
     run,
     trajectory,
 )
@@ -152,7 +152,6 @@ def cmd_synth(args) -> int:
         print(f"budget exhausted: {e} after {e.stats.nodes} nodes", file=sys.stderr)
         return EXIT_UNSAT
     elapsed = time.monotonic() - start
-    witness = prune(witness, task)
     d, o = defined_map_count(witness)
     k = len(task.input_alphabet)
     print(f"minimal states: {n_min}")

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import CheckFailed, FstError, TaskSpec, Transducer, Word, totalize, verify
+from .core import CheckFailed, FstError, TaskSpec, Transducer, Word, verify
 from .trie import breadth_first, build_trie, subtree_classes
 
 
@@ -171,9 +171,11 @@ def class_graph(classes: list[tuple]) -> tuple[list, list[int], list[int]]:
 def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *, tables=None) -> SearchOutcome:
     """Search for an n-state transducer realizing every task pair.
 
-    Returns a SAT outcome with a total, verified witness, or an UNSAT
-    outcome only after exhausting the symmetry-reduced space; below the
-    output count, with no search and a clique of one word per output.
+    Returns a SAT outcome with a verified witness, or an UNSAT outcome
+    only after exhausting the symmetry-reduced space; below the output
+    count, with no search and a clique of one word per output. The witness
+    is partial and already pruned: it defines the cells the search bound
+    and the output of each state a task word ends on, nothing else.
 
     The graph walked is the trie `build_trie` builds at the output count
     and the DAG of its `subtree_classes` above it: there a node's key is its
@@ -371,9 +373,12 @@ def synthesize_at(task: TaskSpec, n: int, cfg: SearchConfig = SearchConfig(), *,
 
 
 def _witness(task: TaskSpec, n: int, delta: list) -> Transducer:
-    """The machine of the bound cells `delta`, total and verified. Every
-    task word runs on bound cells, and the masks kept the outputs of the
-    words ending on one state equal, so each state gets their output."""
+    """The machine of the bound cells `delta`, verified, with an output on
+    each state some task word ends on. Every task word runs on bound cells,
+    and the masks kept the outputs of the words ending on one state equal,
+    so each such state gets their output. A cell is bound only when a node
+    waits on it, so some task word runs through every bound cell and the
+    machine is already pruned: `prune` would return it unchanged."""
     k = len(task.input_alphabet)
     rows = [delta[q * k : q * k + k] for q in range(n)]
     step = [dict(zip(task.input_alphabet, row)) for row in rows]
@@ -383,7 +388,7 @@ def _witness(task: TaskSpec, n: int, delta: list) -> Transducer:
         for a in word:
             q = step[q][a]
         omega[q] = out
-    witness = totalize(Transducer(n, task.input_alphabet, task.output_alphabet, rows, omega))
+    witness = Transducer(n, task.input_alphabet, task.output_alphabet, rows, omega)
     if not verify(witness, task).ok:
         raise CheckFailed("search produced a non-verifying witness")
     return witness

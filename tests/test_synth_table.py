@@ -5,9 +5,9 @@ import sys
 import pytest
 from hypothesis import given, settings
 
-from conftest import sorted_pairs, tiny_tasks
+from conftest import load_script, sorted_pairs, tiny_tasks
 from fstsynth import synth_table
-from fstsynth.core import FstError, TaskSpec, Transducer, verify
+from fstsynth.core import FstError, TaskSpec, Transducer, prune, totalize, verify
 from fstsynth.oracle import oracle_sat
 from fstsynth.serialize import serialize_transducer
 from fstsynth.synth_table import (
@@ -28,6 +28,8 @@ from fstsynth.tasks import (
     gen_zeroes_or_ones,
     word_classification,
 )
+
+random_target = load_script("scripts/stress.py").random_target
 
 
 def w(s):
@@ -71,7 +73,7 @@ class TestBounds:
 class TestSynthesizeAt:
     def test_parity_at_two(self):
         out = synthesize_at(gen_parity(2), 2)
-        assert out.sat and out.witness.is_total()
+        assert out.sat and prune(out.witness, gen_parity(2)) == out.witness
         assert verify(out.witness, gen_parity(2)).ok
 
     def test_signal_locator_at_four_unsat(self):
@@ -197,8 +199,8 @@ class TestSearchCore:
 
     def test_pinned_class_dag_witness(self):
         # sha256 of the FST/1 text of the signal locator 12-4 witness at 7
-        # states, found walking the class DAG
-        witness = synthesize_at(gen_signal_locator(12, 4), 7).witness
+        # states, found walking the class DAG, with its holes filled
+        witness = totalize(synthesize_at(gen_signal_locator(12, 4), 7).witness)
         digest = hashlib.sha256(serialize_transducer(witness).encode()).hexdigest()
         assert digest == "fb13f081e07c29394e86d898d520e997bbe5e086a921bcbc0de0a9b7ac4611ec"
 
@@ -222,7 +224,8 @@ class TestSearchCore:
         if delta is None:
             assert not outcome.sat
         else:
-            assert (outcome.witness.delta, outcome.witness.omega) == (delta, omega)
+            witness = totalize(outcome.witness)  # the table with its holes filled
+            assert (witness.delta, witness.omega) == (delta, omega)
 
     def test_no_recursion_limit(self):
         task = gen_parity(12)
@@ -453,3 +456,19 @@ def test_agrees_with_oracle_on_tiny_tasks(task):
     for n in (1, 2, 3):
         expected, _ = oracle_sat(task, n)
         assert synthesize_at(task, n).sat == expected
+
+
+@pytest.mark.parametrize(
+    "task",
+    [gen_parity(3), gen_zeroes_or_ones(4), gen_palindrome(4), gen_signal_locator(9, 3),
+     gen_signal_locator(8, 4), word_classification(),
+     *(random_target(k, 60, 8, seed) for k in (5, 6) for seed in range(8))],
+    ids=["par3", "zo4", "pal4", "sl9-3", "sl8-4", "words", *(f"target{k}-{seed}" for k in (5, 6) for seed in range(8))],
+)
+def test_witness_is_verified_and_pruned(task):
+    # a cell is bound only when a node waits on it, so a witness defines
+    # nothing the task words do not reach; n_min + 1 is a class-DAG level
+    n_min, witness, _ = synthesize_minimal(task)
+    for w in (witness, synthesize_at(task, n_min + 1).witness):
+        assert verify(w, task).ok
+        assert prune(w, task) == w
