@@ -44,7 +44,7 @@ from .synth_table import (
     NoSolutionWithin,
     SearchConfig,
     lower_bound,
-    search_space_size,
+    search_space_text,
     synthesize_at,
     synthesize_minimal,
     variable_count,
@@ -157,10 +157,7 @@ def cmd_synth(args) -> int:
     print(f"minimal states: {n_min}")
     print(f"defined maps: delta={d} omega={o}")
     print(f"logic variables at n={n_min}: {variable_count(n_min, k)}")
-    print(
-        f"search space at n={n_min}: "
-        f"{search_space_size(n_min, k, len(task.output_alphabet))}"
-    )
+    print(f"search space at n={n_min}: {search_space_text(n_min, k, len(task.output_alphabet))}")
     _print_trail(task, unsat_trail)
     print(f"total time: {elapsed:.3f}s")
     _write_machine(witness, paths, args.nil_sink)

@@ -11,7 +11,7 @@ import itertools
 from typing import Optional
 
 from .core import CheckFailed, FstError, TaskSpec, Transducer, verify
-from .synth_table import NoSolutionWithin, search_space_size
+from .synth_table import NoSolutionWithin, search_space_size, search_space_text
 
 DEFAULT_CAP = 10**8
 
@@ -23,9 +23,9 @@ def oracle_sat(
     task, with the first witness in enumeration order."""
     k = len(task.input_alphabet)
     sym_index = {s: i for i, s in enumerate(task.input_alphabet)}
-    size = search_space_size(n, k, len(task.output_alphabet))
-    if size > cap:
-        raise FstError(f"enumeration size {size} exceeds cap {cap}")
+    m = len(task.output_alphabet)
+    if search_space_size(n, k, m) > cap:
+        raise FstError(f"enumeration size {search_space_text(n, k, m)} exceeds cap {cap}")
     words = [tuple(sym_index[s] for s in w) for w, _ in task.pairs]
     outs = [out for _, out in task.pairs]
 

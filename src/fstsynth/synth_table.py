@@ -95,6 +95,16 @@ def search_space_size(n: int, alphabet_size: int, output_size: int) -> int:
     return n ** (n * alphabet_size) * output_size**n
 
 
+def search_space_text(n: int, alphabet_size: int, output_size: int) -> str:
+    """search_space_size in decimal or, when the decimal has more digits
+    than the interpreter converts (`sys.get_int_max_str_digits`), as the
+    product n^(n*|I|)*|O|^n."""
+    try:
+        return str(search_space_size(n, alphabet_size, output_size))
+    except ValueError:
+        return f"{n}^{n * alphabet_size}*{output_size}^{n}"
+
+
 class _Budget:
     """Node and time limits of one level. A node is a search decision: the
     search counts its own and calls `check`, which raises BudgetExhausted at

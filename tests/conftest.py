@@ -23,6 +23,14 @@ def sorted_pairs(task, key):
     return TaskSpec(task.input_alphabet, task.output_alphabet, tuple(sorted(task.pairs, key=key)))
 
 
+def one_token_task(words: int, outputs: int) -> TaskSpec:
+    """`words` one-token words t0, t1, ..., each its own input symbol, with
+    the outputs o0, o1, ... in turn."""
+    symbols = tuple(f"t{i}" for i in range(words))
+    labels = tuple(f"o{j}" for j in range(outputs))
+    return TaskSpec(symbols, labels, tuple(((s,), labels[i % outputs]) for i, s in enumerate(symbols)))
+
+
 def load_script(path):
     """The module in the file at `path`, relative to the repository root:
     scripts/ and perfbench/ are not packages."""

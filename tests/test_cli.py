@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from conftest import one_token_task
 from fstsynth import cli, synth_table
 from fstsynth.cli import entry, main
 from fstsynth.serialize import parse_transducer
@@ -120,6 +121,16 @@ class TestSynth:
         assert main(["synth", str(task_path), "-o", str(out_path)]) == 0
         assert f"minimal states: {n_states}\n" in capsys.readouterr().out
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+    def test_search_space_past_the_int_to_str_limit(self, tmp_path, capsys):
+        # at 5 states the search space, 5^6500*5^5, has 4,547 decimal
+        # digits, more than Python converts by default (4,300)
+        task = one_token_task(1300, 5)
+        task_path, out_path = tmp_path / "tokens.io", tmp_path / "tokens.fst"
+        task_path.write_text(write_task(task))
+        assert main(["synth", str(task_path), "-o", str(out_path)]) == 0
+        assert "search space at n=5: 5^6500*5^5\n" in capsys.readouterr().out
+        assert verify(parse_transducer(out_path.read_text()), task).ok
 
     def test_dot_output(self, parity_file, tmp_path):
         dot_path = tmp_path / "parity.dot"

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import tiny_tasks
+from conftest import one_token_task, tiny_tasks
 from fstsynth.core import FstError, TaskSpec, verify
 from fstsynth.oracle import oracle_min, oracle_sat
 from fstsynth.synth_table import NoSolutionWithin, SearchConfig, synthesize_minimal
@@ -49,6 +49,12 @@ def test_no_solution_within():
 def test_cap_exceeded():
     with pytest.raises(FstError, match="^enumeration size 102400000000000000000000 exceeds cap 1000000$"):
         oracle_sat(gen_parity(2), 10, cap=10**6)
+
+
+def test_cap_message_past_the_int_to_str_limit():
+    # 5^6500*5^5 has 4,547 decimal digits, more than Python converts by default
+    with pytest.raises(FstError, match=r"^enumeration size 5\^6500\*5\^5 exceeds cap 100000000$"):
+        oracle_sat(one_token_task(1300, 5), 5)
 
 
 def test_deterministic_witness():
