@@ -95,10 +95,11 @@ def minimize(t: Transducer, task: TaskSpec) -> Transducer:
     (undefined successor counting as its own class). The classes come from
     one depth-first pass (Revuz, TCS 1992) and are numbered in
     `breadth_first` order from the initial class; a cycle raises FstError.
-    The quotient map is checked to be a morphism, so the quotient gives t's
-    output on every word, and t is walked through the task only when the
-    quotient fails to verify: FstError if t does not verify either, else
-    CheckFailed."""
+    Each class takes the row and output of its first state through the
+    quotient map, and every later state must agree, so the map is a
+    morphism and the quotient gives t's output on every word; t is walked
+    through the task only when the quotient fails to verify: FstError if t
+    does not verify either, else CheckFailed."""
     cls, classes = subtree_classes(t)
     order = list(breadth_first(cls, classes))
     if len(order) < len(classes):  # unreachable classes (none for tries) go after, in state order
@@ -106,13 +107,16 @@ def minimize(t: Transducer, task: TaskSpec) -> Transducer:
     number = [0] * len(classes)
     for i, c in enumerate(order):
         number[c] = i
-    omega = [classes[c][0] for c in order]
-    delta = [[None if s < 0 else number[s] for s in classes[c][1]] for c in order]
-    # the quotient map must be a transducer morphism
     image = [number[c] for c in cls]
+    # the quotient map must be a transducer morphism
+    omega: list[Optional[str]] = [None] * len(classes)
+    delta: list[Optional[list]] = [None] * len(classes)
     for q, (out, row) in enumerate(zip(t.omega, t.delta)):
         i = image[q]
-        if out != omega[i] or [None if s is None else image[s] for s in row] != delta[i]:
+        mapped = [None if s is None else image[s] for s in row]
+        if delta[i] is None:
+            delta[i], omega[i] = mapped, out
+        elif out != omega[i] or mapped != delta[i]:
             raise CheckFailed(f"state {q} does not agree with its class {i}")
     result = Transducer(len(classes), t.input_alphabet, t.output_alphabet, delta, omega)
     if not verify(result, task).ok:

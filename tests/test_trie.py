@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import PARITY, load_script, tiny_tasks
 from fstsynth.cli import BENCH_ROWS
-from fstsynth.core import FstError, TaskSpec, Transducer, relabel, verify
+from fstsynth.core import CheckFailed, FstError, TaskSpec, Transducer, relabel, verify
 from fstsynth.serialize import serialize_transducer
 from fstsynth.synth_table import SearchConfig, synthesize_minimal
 from fstsynth.tasks import (
@@ -122,6 +122,20 @@ class TestMinimize:
         task = gen_signal_locator(9, 3)
         m = minimize(build_trie(task), task)
         assert walked == [m]
+
+    def test_morphism_check_names_the_later_state(self, monkeypatch):
+        # a stand-in puts leaf 5 (output 1) into the class of leaf 2 (output
+        # 0); the class takes its row and output from state 2, which agrees,
+        # so the check names state 5
+        task = gen_parity(2)
+        t = build_trie(task)
+        cls, classes = subtree_classes(t)
+        assert (t.omega[2], t.omega[5]) == ("0", "1")
+        merged = cls.copy()
+        merged[5] = cls[2]
+        monkeypatch.setattr(trie_module, "subtree_classes", lambda t: (merged, classes))
+        with pytest.raises(CheckFailed, match="^state 5 does not agree with its class 3$"):
+            minimize(t, task)
 
     def test_cyclic_machine_rejected(self):
         with pytest.raises(FstError, match="^the transducer has a cycle$"):
