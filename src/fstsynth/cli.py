@@ -4,7 +4,9 @@ Subcommands: synth (exact minimal synthesis), trie (baseline build +
 minimize), bench (the five-task comparison table), run (apply a machine to
 a word), gen (write a built-in task file, one integer argument per
 parameter of its generator). `main` parses with one parser per process
-(`_parser`) and looks up the handler `cmd_<subcommand>` by name per call.
+(`_parser`), looks up the handler `cmd_<subcommand>` by name per call and
+runs it with the cyclic collector paused: no command builds a reference
+cycle, so the collector would only spend time (notes/decisions.md).
 
 synth and trie open their output paths before any work, so a path that
 cannot be written, or that is the task file or the other output under
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import inspect
 import os
 import sys
@@ -323,6 +326,8 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return globals()[f"cmd_{args.command}"](args)
     except OSError as e:
@@ -333,6 +338,9 @@ def main(argv=None) -> int:
     except FstError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def entry(argv=None) -> int:

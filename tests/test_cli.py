@@ -1,14 +1,15 @@
 import argparse
+import gc
 import hashlib
 import re
 
 import pytest
 
-from conftest import one_token_task
+from conftest import load_script, one_token_task
 from fstsynth import cli, synth_table
 from fstsynth.cli import entry, main
 from fstsynth.serialize import parse_transducer
-from fstsynth.core import verify
+from fstsynth.core import CheckFailed, verify
 from fstsynth.tasks import (
     gen_palindrome,
     gen_parity,
@@ -17,6 +18,8 @@ from fstsynth.tasks import (
     parse_task,
     write_task,
 )
+
+random_target = load_script("scripts/stress.py").random_target
 
 
 @pytest.fixture
@@ -510,6 +513,63 @@ class TestEntry:
         assert entry(["synth", str(parity_file), "--max-states", "1"]) == 1
         assert entry(["synth", str(tmp_path / "missing.io")]) == 2
         assert entry(["synth", str(tmp_path)]) == 2
+
+
+class TestCollector:
+    """`main` runs a command with the cyclic collector paused and gives the
+    caller back the collector state it had, on every exit path."""
+
+    @pytest.fixture(params=[True, False], ids=["caller-on", "caller-off"])
+    def enabled(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["synth", "{parity}", "-o", "{tmp}/p.fst"], 0),
+            (["synth", "{sl93}", "--budget-nodes", "1"], 1),
+            (["synth", "{tmp}/missing.io"], 2),
+        ],
+        ids=["exit-0", "exit-1", "exit-2"],
+    )
+    def test_state_restored(self, enabled, argv, code, parity_file, sl93_file, tmp_path, capsys):
+        argv = [a.format(parity=parity_file, sl93=sl93_file, tmp=tmp_path) for a in argv]
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+
+    def test_state_restored_when_a_check_fails(self, enabled, parity_file, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def failing(t, task):
+            seen.append(gc.isenabled())
+            raise CheckFailed("the minimized transducer does not verify")
+
+        monkeypatch.setattr(cli, "minimize", failing)
+        with pytest.raises(CheckFailed):
+            main(["trie", str(parity_file), "--minimize", "-o", str(tmp_path / "p.fst")])
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize(
+        "make_task",
+        [lambda: gen_parity(9), lambda: random_target(10, 200, 12, 0)],
+        ids=["parity-9", "target10-200"],
+    )
+    def test_commands_leave_no_cyclic_garbage(self, enabled, make_task, tmp_path, capsys):
+        # what the pause relies on: nothing a command leaves behind needs
+        # the cyclic collector to be freed
+        task_path = tmp_path / "task.io"
+        task_path.write_text(write_task(make_task()))
+        synth = ["synth", str(task_path), "-o", str(tmp_path / "s.fst")]
+        gc.disable()
+        assert main(synth) == 0  # warm-up: a first call may fill lazy caches
+        gc.collect()
+        assert main(synth) == 0
+        assert main(["trie", str(task_path), "--minimize", "-o", str(tmp_path / "t.fst")]) == 0
+        assert gc.collect() == 0
 
 
 class TestParser:
