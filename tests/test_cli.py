@@ -519,12 +519,16 @@ class TestCollector:
     """`main` runs a command with the cyclic collector paused and gives the
     caller back the collector state it had, on every exit path."""
 
+    @pytest.fixture(autouse=True)
+    def restore(self):
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
     @pytest.fixture(params=[True, False], ids=["caller-on", "caller-off"])
     def enabled(self, request):
-        was = gc.isenabled()
         (gc.enable if request.param else gc.disable)()
-        yield request.param
-        (gc.enable if was else gc.disable)()
+        return request.param
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -558,7 +562,7 @@ class TestCollector:
         [lambda: gen_parity(9), lambda: random_target(10, 200, 12, 0)],
         ids=["parity-9", "target10-200"],
     )
-    def test_commands_leave_no_cyclic_garbage(self, enabled, make_task, tmp_path, capsys):
+    def test_commands_leave_no_cyclic_garbage(self, make_task, tmp_path, capsys):
         # what the pause relies on: nothing a command leaves behind needs
         # the cyclic collector to be freed
         task_path = tmp_path / "task.io"
